@@ -62,7 +62,8 @@ def load_graph_file(path: str) -> Graph:
     """Read a graph from a file holding either graph6 or an edge list.
 
     An edge-list file starts with an 'n m' digit header; graph6 bytes are
-    all >= chr(63), so the two formats cannot collide.
+    all >= chr(63), so the two formats cannot collide. A graph6 file must
+    hold exactly one graph.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -71,12 +72,14 @@ def load_graph_file(path: str) -> Graph:
         raise GraphFormatError(f"{path}: empty graph file")
     if _EDGE_LIST_HEADER.match(lines[0]):
         return parse_edge_list(text)
-    first = lines[0].strip()
-    if first.startswith(">>graph6<<"):
-        first = first[len(">>graph6<<"):].strip()
-        if not first and len(lines) > 1:
-            first = lines[1].strip()
-    return parse_graph6(first)
+    graphs = [ln.strip() for ln in lines]
+    if graphs[0].startswith(">>graph6<<"):
+        graphs[0] = graphs[0][len(">>graph6<<"):].strip()
+        if not graphs[0]:
+            del graphs[0]
+    if len(graphs) != 1:
+        raise GraphFormatError(f"{path}: holds {len(graphs)} graphs, expected one")
+    return parse_graph6(graphs[0])
 
 
 def load_coloring_file(path: str, g: Graph) -> EdgeColoring:

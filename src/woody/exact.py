@@ -12,6 +12,7 @@ explicit bounds instead of a guess.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from .construct import arboricity_square_coloring
@@ -152,34 +153,38 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
                            ticker: _Ticker, prune: bool) -> list[int] | None:
     """Find one strongly woody coloring with at most k colors, else None.
 
-    Incremental state: one union-find per color over vertex components.
     Giving color c to edge uv is rejected when (i) u and v already meet in
     class c, or (ii) the merged class-c component would contain both ends
     of some other graph edge (whatever color that edge has or will get, a
     monochromatic cycle or broken cycle would become unavoidable).
+
+    Incremental state, per color: a union-find over the vertices (union by
+    size, no path compression, undone in LIFO order) and, per component
+    root r, two vertex bitsets: member[r], the component, and nbr[r], the
+    union of its members' neighbourhoods. With ru and rv the roots of u and
+    v, rule (ii) asks for an edge xy other than uv with x in ru's component
+    and y in rv's. Split on y: either y != v, a vertex of member[rv] other
+    than v inside nbr[ru]; or y == v and x != u, a vertex of member[ru]
+    other than u inside adj(v). As v is always in nbr[ru] and u in adj(v),
+    the rule reads nbr[ru] & member[rv] != bit(v) or adj(v) & member[ru] !=
+    bit(u). That is O(1) big-int work per candidate color in place of a
+    rescan of every edge, and the same predicate, so the search tree (node
+    counts, certificates) is the one the edge scan gives.
+
+    prune=False is the oracle mode: no rule at all, every leaf verified.
     """
     n, m = g.n, g.m
     edges = g.edges
     colors: list[int | None] = [None] * m
-    ufs = [RollbackUnionFind(n) for _ in range(k)]
 
-    def admissible(eidx: int, c: int) -> bool:
-        uf = ufs[c]
-        find = uf.find
-        u, v = edges[eidx]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        for j, (x, y) in enumerate(edges):
-            if j == eidx:
-                continue
-            rx = find(x)
-            if rx != ru and rx != rv:
-                continue
-            ry = find(y)
-            if (rx == ru and ry == rv) or (rx == rv and ry == ru):
-                return False
-        return True
+    adj_mask = [0] * n
+    for u, v in edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    parent = [list(range(n)) for _ in range(k)]
+    size = [[1] * n for _ in range(k)]
+    member = [[1 << x for x in range(n)] for _ in range(k)]
+    nbr = [list(adj_mask) for _ in range(k)]
 
     def dfs(pos: int, used: int) -> bool:
         if pos == m:
@@ -188,25 +193,44 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
             return is_strongly_woody(EdgeColoring(g, colors))[0]
         e = order[pos]
         u, v = edges[e]
-        limit = min(k - 1, used)
-        for c in range(limit + 1):
+        bit_u, bit_v, adj_v = 1 << u, 1 << v, adj_mask[v]
+        for c in range(min(k - 1, used) + 1):
             ticker.tick()
-            if prune:
-                if not admissible(e, c):
-                    continue
-                uf = ufs[c]
-                mk = uf.mark()
-                uf.union(u, v)
+            if not prune:
                 colors[e] = c
                 if dfs(pos + 1, max(used, c + 1)):
                     return True
                 colors[e] = None
-                uf.rollback(mk)
-            else:
-                colors[e] = c
-                if dfs(pos + 1, max(used, c + 1)):
-                    return True
-                colors[e] = None
+                continue
+            par = parent[c]
+            ru = u
+            while par[ru] != ru:
+                ru = par[ru]
+            rv = v
+            while par[rv] != rv:
+                rv = par[rv]
+            if ru == rv:
+                continue
+            mem = member[c]
+            nb = nbr[c]
+            if (nb[ru] & mem[rv]) != bit_v or (adj_v & mem[ru]) != bit_u:
+                continue
+            sz = size[c]
+            if sz[ru] < sz[rv]:
+                ru, rv = rv, ru
+            par[rv] = ru
+            sz[ru] += sz[rv]
+            saved_nbr = nb[ru]
+            mem[ru] |= mem[rv]
+            nb[ru] = saved_nbr | nb[rv]
+            colors[e] = c
+            if dfs(pos + 1, max(used, c + 1)):
+                return True
+            colors[e] = None
+            mem[ru] &= ~mem[rv]
+            nb[ru] = saved_nbr
+            sz[ru] -= sz[rv]
+            par[rv] = rv
         return False
 
     return list(colors) if dfs(0, 0) else None  # type: ignore[arg-type]
@@ -489,9 +513,9 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
     for comp in connected_components(g):
         comp_sorted = sorted(comp)
         seen = {comp_sorted[0]}
-        queue = [comp_sorted[0]]
+        queue = deque([comp_sorted[0]])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             order.append(u)
             for w in g.adj[u]:
                 if w not in seen:

@@ -278,7 +278,8 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
             return False
         outcome.records.append(rec)
         if any(v == "violated" for v in rec["flags"].values()):
-            if not reverify_violation(rec):
+            if not reverify_violation(
+                    rec, Budget(config.budget_nodes, config.budget_seconds)):
                 raise AssertionError(
                     f"{rec['graph_id']}: violation record failed re-verification")
             outcome.violations.append(rec)

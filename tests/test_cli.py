@@ -56,6 +56,16 @@ class TestVerifyCommand:
         cp = write_coloring(tmp_path, [0])
         assert main(["verify", str(bad), cp]) == 2
 
+    def test_multi_graph_file_rejected(self, tmp_path, capsys):
+        p = tmp_path / "two.g6"
+        p.write_text(">>graph6<<" + encode_graph6(complete_graph(3)) + "\n"
+                     + encode_graph6(cycle_graph(4)) + "\n")
+        cp = write_coloring(tmp_path, [0, 1, 2])
+        assert main(["verify", str(p), cp]) == 2
+        assert "2 graphs" in capsys.readouterr().err
+        assert main(["exact", str(p), "--param", "strong-arb"]) == 2
+        assert main(["color", str(p), "--method", "square"]) == 2
+
     def test_wrong_length_coloring(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(4))
         cp = write_coloring(tmp_path, [0, 1])

@@ -25,7 +25,7 @@ from woody import (
 )
 from woody.graphs import Graph
 
-from conftest import petersen_graph, subdivide
+from conftest import complete_bipartite, corpus_graphs, petersen_graph, subdivide
 
 
 class TestStrongArboricity:
@@ -78,6 +78,17 @@ class TestStrongArboricity:
         # the inexact upper bound is certified by a verified coloring
         assert is_strongly_woody(res.certificate)[0]
         assert res.certificate.palette_size == res.upper
+
+    def test_search_tree_is_pinned(self):
+        # node counts of the pruned search; a change to its pruning or its
+        # edge order must update these on purpose and say why
+        assert strong_arboricity_exact(complete_bipartite(4, 5)).nodes == 39_277
+        assert strong_arboricity_exact(complete_bipartite(4, 6)).nodes == 228_892
+        assert strong_arboricity_exact(complete_graph(7)).nodes == 9_375
+        assert strong_arboricity_exact(petersen_graph()).nodes == 2_310
+        for name, total in (("connected_n6.g6", 3_223), ("connected_n7.g6", 101_367)):
+            nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
+            assert nodes == total, name
 
     def test_sandwich_against_acyclic_chromatic(self, connected_n6):
         for g in connected_n6[::6]:

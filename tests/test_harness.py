@@ -212,7 +212,7 @@ class TestRunHunt:
             return real_bound(name, record)
 
         monkeypatch.setattr(H, "conjecture_bound", tiny_bound)
-        monkeypatch.setattr(H, "reverify_violation", lambda rec: True)
+        monkeypatch.setattr(H, "reverify_violation", lambda rec, budget: True)
         f = tmp_path / "k4.g6"
         f.write_text(encode_graph6(complete_graph(4)) + "\n")
         outcome = run_hunt([str(f)], HuntConfig(conjectures=("twoarb",)), jobs=1)
@@ -228,6 +228,33 @@ class TestRunHunt:
                                 rec["witness"]["num_forests"])
         assert d.is_valid()
         assert replay_coloring_number(g, rec["witness"]["col_order"]) == rec["col"]
+
+    def test_reverification_runs_under_the_run_budget(self, tmp_path, monkeypatch):
+        # a violation found under a non-default budget must be re-verified
+        # under that budget, not the default one
+        import dataclasses
+
+        import woody.harness as H
+        from woody import Budget
+
+        monkeypatch.setattr(H, "conjecture_bound", lambda name, record: 0)
+        budgets = []
+        real_solve = H.strong_arboricity_exact
+
+        def spy(g, budget=None):
+            budgets.append(budget)
+            # an impossible lower bound lets the forced violation re-verify
+            return dataclasses.replace(real_solve(g, budget), lower=99)
+
+        monkeypatch.setattr(H, "strong_arboricity_exact", spy)
+        f = tmp_path / "k4.g6"
+        f.write_text(encode_graph6(complete_graph(4)) + "\n")
+        config = HuntConfig(conjectures=("twoarb",), budget_nodes=12_345_678,
+                            budget_seconds=42.0)
+        outcome = run_hunt([str(f)], config, jobs=1)
+        assert outcome.exit_code == 10
+        # one solve in hunt_graph, one in the re-verification
+        assert budgets == [Budget(12_345_678, 42.0)] * 2
 
     def test_jobs_do_not_change_report_bytes(self):
         config = HuntConfig(conjectures=("planar4", "twoarb", "col", "girth-eq"))
