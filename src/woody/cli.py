@@ -226,11 +226,8 @@ def cmd_exact(args) -> int:
         print(f"{args.param} = {res.value} "
               f"(nodes {res.nodes}, {res.seconds:.3f}s)")
         out = args.output or (args.graph + f".{args.param}.cert")
-        if res.certificate is not None and hasattr(res.certificate, "colors"):
-            with open(out, "w", encoding="ascii") as fh:
-                fh.write(" ".join(str(c) for c in res.certificate.colors))
-                fh.write("\n")
-            print(f"certificate written to {out}")
+        write_coloring_file(out, res.certificate)
+        print(f"certificate written to {out}")
         return EXIT_OK
     print(f"{args.param} inexact: bounds [{res.lower}, {res.upper}] "
           f"(nodes {res.nodes}, {res.seconds:.3f}s)")
@@ -245,10 +242,11 @@ def cmd_hunt(args) -> int:
             print(f"unknown conjecture {name!r}; choose from {', '.join(CONJECTURES)}",
                   file=sys.stderr)
             return EXIT_PARSE
+    budget = _budget_from_args(args)
     config = HuntConfig(
         conjectures=conjectures,
-        budget_nodes=args.budget_nodes if args.budget_nodes is not None else DEFAULT_BUDGET_NODES,
-        budget_seconds=args.budget_secs if args.budget_secs is not None else DEFAULT_BUDGET_SECONDS,
+        budget_nodes=budget.max_nodes,
+        budget_seconds=budget.max_seconds,
         strict=args.strict,
         timings=args.timings,
         with_chi=args.with_chi,
@@ -275,13 +273,17 @@ def cmd_hunt(args) -> int:
     return EXIT_OK
 
 
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
 _CONFIG_KEYS = {
     "budget_nodes": int,
     "budget_secs": float,
     "jobs": int,
-    "strict": lambda s: s.lower() in ("1", "true", "yes"),
-    "timings": lambda s: s.lower() in ("1", "true", "yes"),
-    "with_chi": lambda s: s.lower() in ("1", "true", "yes"),
+    "strict": _flag,
+    "timings": _flag,
+    "with_chi": _flag,
     "p": int,
     "method": str,
     "conjectures": str,

@@ -17,6 +17,8 @@ from .graphs import (
     has_triangle,
     induces_forest,
     is_2_independent,
+    subset_adjacency,
+    subset_bfs,
 )
 from .verify import EdgeColoring, VertexColoring, is_strongly_woody
 
@@ -54,25 +56,19 @@ def depth_parity_shading(d: ForestDecomposition) -> EdgeColoring:
     g = d.parent
     colors: list[int | None] = [None] * g.m
     for fi, eids in enumerate(d.classes()):
-        nbrs: dict[int, list[tuple[int, int]]] = {}
-        for e in eids:
-            u, v = g.edges[e]
-            nbrs.setdefault(u, []).append((v, e))
-            nbrs.setdefault(v, []).append((u, e))
-        seen: set[int] = set()
+        nbrs = subset_adjacency(g, eids)
+        depth: dict[int, int] = {}
         for root in sorted(nbrs):
-            if root in seen:
+            if root in depth:
                 continue
-            seen.add(root)
-            stack = [(root, 0)]
-            while stack:
-                u, depth = stack.pop()
-                for w, e in nbrs[u]:
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    colors[e] = 2 * fi + depth % 2
-                    stack.append((w, depth + 1))
+            # discovery order puts every parent before its children
+            for w, link in subset_bfs(nbrs, root).items():
+                if link is None:
+                    depth[w] = 0
+                    continue
+                u, e = link
+                depth[w] = depth[u] + 1
+                colors[e] = 2 * fi + depth[u] % 2
     return EdgeColoring(g, colors)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, PreconditionError
-from .graphs import Graph, VertexSubsetView
+from .graphs import Graph, VertexSubsetView, subset_bfs
 from .unionfind import UnionFind
 
 DENSITY_MAX_VERTICES = 24
@@ -80,10 +80,11 @@ def _ceil_fraction(x: Fraction) -> int:
 class _Partitioner:
     """Incremental k-forest partition with breadth-first exchange search.
 
-    Forests are adjacency dicts. An uncovered edge seeks a forest that
-    accepts it; if every forest closes a cycle, the cycle edges are
-    candidates for displacement and the search continues from them. A BFS
-    (shortest exchange chain) keeps sequential displacements valid.
+    Forests are adjacency dicts as graphs.subset_bfs reads them. An
+    uncovered edge seeks a forest that accepts it; if every forest closes a
+    cycle, the cycle edges are candidates for displacement and the search
+    continues from them. A BFS (shortest exchange chain) keeps sequential
+    displacements valid.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -95,32 +96,6 @@ class _Partitioner:
     def add_forest(self) -> None:
         self.forests.append(dict())
         self.k += 1
-
-    def _forest_path(self, fi: int, src: int, dst: int) -> list[int] | None:
-        """Edge ids of the path from src to dst inside forest fi, else None."""
-        adj = self.forests[fi]
-        if src not in adj or dst not in adj:
-            return None
-        prev: dict[int, tuple[int, int]] = {}
-        seen = {src}
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            if u == dst:
-                break
-            for w, e in adj.get(u, ()):
-                if w not in seen:
-                    seen.add(w)
-                    prev[w] = (u, e)
-                    q.append(w)
-        if dst not in seen:
-            return None
-        path = []
-        cur = dst
-        while cur != src:
-            cur, e = prev[cur]
-            path.append(e)
-        return path
 
     def _insert(self, fi: int, e: int) -> None:
         u, v = self.g.edges[e]
@@ -143,8 +118,8 @@ class _Partitioner:
             for fi in range(self.k):
                 if self.owner[x] == fi:
                     continue
-                path = self._forest_path(fi, xu, xv)
-                if path is None:
+                tree = subset_bfs(self.forests[fi], xu, xv)
+                if xv not in tree:
                     # augment: x enters fi, its predecessor takes x's old slot
                     target = fi
                     while True:
@@ -156,7 +131,11 @@ class _Partitioner:
                         if p is None:
                             return True
                         x, target = p, old
-                for y in path:
+                # x closes a cycle in fi: queue its edges from xv back to xu
+                # (the order decides which decomposition comes out)
+                w = xv
+                while w != xu:
+                    w, y = tree[w]
                     if y not in pred:
                         pred[y] = x
                         queue.append(y)

@@ -12,7 +12,6 @@ explicit bounds instead of a guess.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .construct import arboricity_square_coloring
@@ -23,6 +22,7 @@ from .verify import (
     EdgeColoring,
     VertexColoring,
     is_acyclic_vertex,
+    is_proper_edge,
     is_proper_vertex,
     is_strongly_woody,
 )
@@ -82,6 +82,46 @@ def _edge_order(g: Graph) -> list[int]:
     return sorted(
         range(g.m),
         key=lambda e: (-(g.degree(g.edges[e][0]) + g.degree(g.edges[e][1])), e))
+
+
+def _vertex_order(g: Graph) -> list[int]:
+    # decreasing degree, vertex index as tie-break
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
+def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
+            check, exhausted) -> SolveResult:
+    """Iterative deepening shared by the exact coloring solvers.
+
+    A graph with nothing to color (no edges for an edge coloring, no
+    vertices for a vertex coloring) is solved by the empty coloring.
+    Otherwise k runs up from lower() and search(k, ticker) returns at most
+    k colors, or None when k colors do not suffice. The first coloring
+    found is normalized and must pass check, which returns (ok, witness).
+    If the budget runs out at level k, k is the proven lower bound and
+    exhausted() gives the (upper bound, certificate) to report.
+    """
+    t0 = time.monotonic()
+    ticker = _Ticker(budget, t0)
+    if not coloring_type.length_for(g):
+        return SolveResult(0, 0, 0, True, coloring_type(g, []), 0, time.monotonic() - t0)
+    k = lower()
+    while True:
+        try:
+            found = search(k, ticker)
+        except _BudgetExhausted:
+            upper, certificate = exhausted()
+            return SolveResult(None, k, upper, False, certificate, ticker.nodes,
+                               time.monotonic() - t0)
+        if found is not None:
+            coloring = coloring_type(g, found).normalized()
+            ok, witness = check(coloring)
+            if not ok:
+                raise AssertionError(
+                    f"solver certificate failed verification: {witness}")
+            return SolveResult(k, k, k, True, coloring, ticker.nodes,
+                               time.monotonic() - t0)
+        k += 1
 
 
 def max_clique_size(g: Graph, vertices=None) -> int:
@@ -243,31 +283,20 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     Iterative deepening from a lower bound combining arboricity, the
     rainbow-star conflict bound, and the triangle rule. prune=False is the
     oracle mode used by the test suite: no feasibility pruning, full leaf
-    verification, deepening from k=1.
+    verification, deepening from k=1. On budget exhaustion the square
+    pipeline's coloring is the reported upper bound.
     """
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
-    if g.m == 0:
-        return SolveResult(0, 0, 0, True, EdgeColoring(g, []), 0, time.monotonic() - t0)
-    lower = strong_arboricity_lower_bound(g) if prune else 1
     order = _edge_order(g)
-    k = lower
-    while True:
-        try:
-            found = _search_strongly_woody(g, k, order, ticker, prune)
-        except _BudgetExhausted:
-            fallback = arboricity_square_coloring(g)
-            return SolveResult(
-                None, k, fallback.palette_size, False, fallback,
-                ticker.nodes, time.monotonic() - t0)
-        if found is not None:
-            coloring = EdgeColoring(g, found).normalized()
-            ok, witness = is_strongly_woody(coloring)
-            if not ok:
-                raise AssertionError(f"solver certificate failed verification: {witness}")
-            return SolveResult(
-                k, k, k, True, coloring, ticker.nodes, time.monotonic() - t0)
-        k += 1
+
+    def fallback():
+        coloring = arboricity_square_coloring(g)
+        return coloring.palette_size, coloring
+
+    return _deepen(
+        g, budget, EdgeColoring,
+        lambda: strong_arboricity_lower_bound(g) if prune else 1,
+        lambda k, ticker: _search_strongly_woody(g, k, order, ticker, prune),
+        is_strongly_woody, fallback)
 
 
 def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
@@ -338,32 +367,14 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
 
 def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Minimum colors in a proper vertex coloring with no two-colored cycle."""
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
-    n = g.n
-    if n == 0:
-        return SolveResult(0, 0, 0, True, VertexColoring(g, []), 0, time.monotonic() - t0)
-    lower = max(1, max_clique_size(g))
-    if has_cycle(g):
-        lower = max(lower, 3)
-    elif g.m:
-        lower = max(lower, 2)
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    k = lower
-    while True:
-        try:
-            found = _search_acyclic(g, k, order, ticker)
-        except _BudgetExhausted:
-            return SolveResult(None, k, n, False, None, ticker.nodes,
-                               time.monotonic() - t0)
-        if found is not None:
-            coloring = VertexColoring(g, found).normalized()
-            ok, witness = is_acyclic_vertex(coloring)
-            if not ok:
-                raise AssertionError(f"acyclic certificate failed verification: {witness}")
-            return SolveResult(k, k, k, True, coloring, ticker.nodes,
-                               time.monotonic() - t0)
-        k += 1
+    order = _vertex_order(g)
+    # a cycle needs three colors, an edge two
+    return _deepen(
+        g, budget, VertexColoring,
+        lambda: max(1, max_clique_size(g),
+                    3 if has_cycle(g) else 2 if g.m else 1),
+        lambda k, ticker: _search_acyclic(g, k, order, ticker),
+        is_acyclic_vertex, lambda: (g.n, None))
 
 
 def _search_proper_vertex(g: Graph, k: int, order: list[int], ticker: _Ticker
@@ -392,27 +403,11 @@ def _search_proper_vertex(g: Graph, k: int, order: list[int], ticker: _Ticker
 
 def chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact chromatic number with a certifying proper coloring."""
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
-    n = g.n
-    if n == 0:
-        return SolveResult(0, 0, 0, True, VertexColoring(g, []), 0, time.monotonic() - t0)
-    lower = max(1, max_clique_size(g))
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    k = lower
-    while True:
-        try:
-            found = _search_proper_vertex(g, k, order, ticker)
-        except _BudgetExhausted:
-            return SolveResult(None, k, n, False, None, ticker.nodes,
-                               time.monotonic() - t0)
-        if found is not None:
-            coloring = VertexColoring(g, found).normalized()
-            if not is_proper_vertex(coloring):
-                raise AssertionError("chromatic certificate is not proper")
-            return SolveResult(k, k, k, True, coloring, ticker.nodes,
-                               time.monotonic() - t0)
-        k += 1
+    order = _vertex_order(g)
+    return _deepen(
+        g, budget, VertexColoring, lambda: max(1, max_clique_size(g)),
+        lambda k, ticker: _search_proper_vertex(g, k, order, ticker),
+        lambda c: (is_proper_vertex(c), None), lambda: (g.n, None))
 
 
 def _search_proper_edge(g: Graph, k: int, order: list[int], ticker: _Ticker
@@ -453,30 +448,12 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
     Lower bound: maximum degree, sharpened by the matching capacity
     ceil(m / floor(n/2)).
     """
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
-    m = g.m
-    if m == 0:
-        return SolveResult(0, 0, 0, True, EdgeColoring(g, []), 0, time.monotonic() - t0)
-    maxdeg = max(g.degree(v) for v in range(g.n))
-    lower = max(maxdeg, -((-m) // (g.n // 2)))
     order = _edge_order(g)
-    k = lower
-    while True:
-        try:
-            found = _search_proper_edge(g, k, order, ticker)
-        except _BudgetExhausted:
-            return SolveResult(None, k, None, False, None, ticker.nodes,
-                               time.monotonic() - t0)
-        if found is not None:
-            coloring = EdgeColoring(g, found).normalized()
-            for u in range(g.n):
-                inc = [coloring.colors[g.edge_id(u, w)] for w in g.adj[u]]
-                if len(inc) != len(set(inc)):
-                    raise AssertionError("edge coloring certificate is not proper")
-            return SolveResult(k, k, k, True, coloring, ticker.nodes,
-                               time.monotonic() - t0)
-        k += 1
+    return _deepen(
+        g, budget, EdgeColoring,
+        lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
+        lambda k, ticker: _search_proper_edge(g, k, order, ticker),
+        lambda c: (is_proper_edge(c), None), lambda: (None, None))
 
 
 @dataclass(frozen=True)
@@ -509,18 +486,8 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
     n = g.n
     if girth(g) < 4:
         return PartitionSearchResult(False, None, None, True, 0, time.monotonic() - t0)
-    order: list[int] = []
-    for comp in connected_components(g):
-        comp_sorted = sorted(comp)
-        seen = {comp_sorted[0]}
-        queue = deque([comp_sorted[0]])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+    # each component in BFS order from its lowest vertex
+    order = [v for comp in connected_components(g) for v in comp]
     dist2: list[tuple[int, ...]] = []
     for v in range(n):
         near = set()

@@ -258,6 +258,41 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def subset_adjacency(g: Graph, eids: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """(neighbor, edge id) lists of the subgraph formed by the given edges."""
+    nbrs: dict[int, list[tuple[int, int]]] = {}
+    for e in eids:
+        u, v = g.edges[e]
+        nbrs.setdefault(u, []).append((v, e))
+        nbrs.setdefault(v, []).append((u, e))
+    return nbrs
+
+
+def subset_bfs(nbrs: dict[int, list[tuple[int, int]]], src: int,
+               dst: int | None = None) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first tree from src inside an edge subset.
+
+    nbrs maps a vertex to its (neighbor, edge id) pairs in the subset, as
+    subset_adjacency builds them. Returns {vertex: (parent, edge id)} in
+    discovery order, with src mapped to None. Given dst, the search stops
+    as soon as dst is discovered (at once if dst touches no subset edge);
+    following parents from dst then walks a shortest path back to src.
+    """
+    tree: dict[int, tuple[int, int] | None] = {src: None}
+    if dst is not None and dst not in nbrs:
+        return tree
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        for w, e in nbrs.get(u, ()):
+            if w not in tree:
+                tree[w] = (u, e)
+                if w == dst:
+                    return tree
+                q.append(w)
+    return tree
+
+
 def has_cycle(g: Graph) -> bool:
     uf = UnionFind(g.n)
     return any(not uf.union(u, v) for u, v in g.edges)

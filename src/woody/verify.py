@@ -9,30 +9,38 @@ slow oracle enumerates cycles directly and is the authority in tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import GuardError
-from .graphs import Graph
+from .graphs import Graph, subset_adjacency, subset_bfs
 from .unionfind import UnionFind
 
 ORACLE_MAX_VERTICES = 10
 
 
-class EdgeColoring:
-    """A map from edge index to color index; entries may be None (unassigned).
+class _Coloring:
+    """A map from edge or vertex index to color index; entries may be None
+    (unassigned).
 
     palette_size is 1 + max assigned color, which matches the number of
     colors only in normalized form; verifiers accept unnormalized input.
+    Subclasses name the Graph attribute that gives the length (m or n).
     """
 
     __slots__ = ("parent", "colors")
+    _length = ""
+
+    @classmethod
+    def length_for(cls, parent: Graph) -> int:
+        """Number of entries a coloring of parent has."""
+        return getattr(parent, cls._length)
 
     def __init__(self, parent: Graph, colors: Sequence[int | None]):
         colors = tuple(colors)
-        if len(colors) != parent.m:
-            raise ValueError(f"expected {parent.m} entries, got {len(colors)}")
+        expected = self.length_for(parent)
+        if len(colors) != expected:
+            raise ValueError(f"expected {expected} entries, got {len(colors)}")
         for c in colors:
             if c is not None and (not isinstance(c, int) or c < 0):
                 raise ValueError(f"bad color {c!r}")
@@ -58,8 +66,8 @@ class EdgeColoring:
                 out.setdefault(c, []).append(i)
         return out
 
-    def normalized(self) -> "EdgeColoring":
-        """Renumber colors by first appearance in edge-index order."""
+    def normalized(self) -> "_Coloring":
+        """Renumber colors by first appearance in index order."""
         remap: dict[int, int] = {}
         out: list[int | None] = []
         for c in self.colors:
@@ -69,53 +77,24 @@ class EdgeColoring:
             if c not in remap:
                 remap[c] = len(remap)
             out.append(remap[c])
-        return EdgeColoring(self.parent, out)
+        return type(self)(self.parent, out)
 
     def __repr__(self) -> str:
-        return f"EdgeColoring({list(self.colors)})"
+        return f"{type(self).__name__}({list(self.colors)})"
 
 
-class VertexColoring:
-    """A total or partial map from vertex index to color index."""
+class EdgeColoring(_Coloring):
+    """A coloring of the edges: one entry per edge index."""
 
-    __slots__ = ("parent", "colors")
+    __slots__ = ()
+    _length = "m"
 
-    def __init__(self, parent: Graph, colors: Sequence[int | None]):
-        colors = tuple(colors)
-        if len(colors) != parent.n:
-            raise ValueError(f"expected {parent.n} entries, got {len(colors)}")
-        for c in colors:
-            if c is not None and (not isinstance(c, int) or c < 0):
-                raise ValueError(f"bad color {c!r}")
-        self.parent = parent
-        self.colors = colors
 
-    @property
-    def total(self) -> bool:
-        return all(c is not None for c in self.colors)
+class VertexColoring(_Coloring):
+    """A coloring of the vertices: one entry per vertex index."""
 
-    @property
-    def palette_size(self) -> int:
-        assigned = [c for c in self.colors if c is not None]
-        return 1 + max(assigned) if assigned else 0
-
-    def used_colors(self) -> set[int]:
-        return {c for c in self.colors if c is not None}
-
-    def normalized(self) -> "VertexColoring":
-        remap: dict[int, int] = {}
-        out: list[int | None] = []
-        for c in self.colors:
-            if c is None:
-                out.append(None)
-                continue
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return VertexColoring(self.parent, out)
-
-    def __repr__(self) -> str:
-        return f"VertexColoring({list(self.colors)})"
+    __slots__ = ()
+    _length = "n"
 
 
 @dataclass(frozen=True)
@@ -225,30 +204,14 @@ def _require_total(c) -> None:
 def _class_path(g: Graph, class_edges: list[int], src: int, dst: int
                 ) -> tuple[list[int], list[int]]:
     """Path from src to dst using only the given edges: (vertices, edge ids)."""
-    nbrs: dict[int, list[tuple[int, int]]] = {}
-    for e in class_edges:
-        u, v = g.edges[e]
-        nbrs.setdefault(u, []).append((v, e))
-        nbrs.setdefault(v, []).append((u, e))
-    prev: dict[int, tuple[int, int]] = {}
-    seen = {src}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        if u == dst:
-            break
-        for w, e in nbrs.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (u, e)
-                q.append(w)
-    if dst not in seen:
+    tree = subset_bfs(subset_adjacency(g, class_edges), src, dst)
+    if dst not in tree:
         raise AssertionError("no path inside color class; verifier state is broken")
     verts = [dst]
     eids = []
     cur = dst
     while cur != src:
-        cur, e = prev[cur]
+        cur, e = tree[cur]
         verts.append(cur)
         eids.append(e)
     verts.reverse()
@@ -385,6 +348,17 @@ def is_proper_vertex(f: VertexColoring) -> bool:
     _require_total(f)
     g = f.parent
     return all(f.colors[u] != f.colors[v] for u, v in g.edges)
+
+
+def is_proper_edge(c: EdgeColoring) -> bool:
+    """No two edges with a common end share a color."""
+    _require_total(c)
+    ends: set[tuple[int, int]] = set()
+    for (u, v), color in zip(c.parent.edges, c.colors):
+        if (u, color) in ends or (v, color) in ends:
+            return False
+        ends.update(((u, color), (v, color)))
+    return True
 
 
 def is_acyclic_vertex(f: VertexColoring) -> tuple[bool, BicoloredCycleWitness | None]:

@@ -30,6 +30,11 @@ class TestArboricity:
         assert arboricity(complete_graph(5))[0] == 3
         assert arboricity(complete_graph(8))[0] == 4
 
+    def test_exchange_chain_order_is_pinned(self):
+        # the exchange search queues each cycle's edges from the far end
+        # back to the near one; the other order gives (0, 1, 1, 0, 1, 0)
+        assert arboricity(complete_graph(4))[1].assignment == (0, 0, 1, 1, 1, 0)
+
     def test_edgeless_convention(self):
         k, d = arboricity(Graph(3, []))
         assert k == 0 and d.num_forests == 0 and d.assignment == ()

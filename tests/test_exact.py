@@ -5,6 +5,7 @@ import pytest
 from woody import (
     Budget,
     EdgeColoring,
+    VertexColoring,
     acyclic_chromatic_exact,
     adjacent_conflict_bound,
     arboricity,
@@ -89,6 +90,28 @@ class TestStrongArboricity:
         for name, total in (("connected_n6.g6", 3_223), ("connected_n7.g6", 101_367)):
             nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
+
+    def test_edgeless_and_exhausted_results_are_pinned(self):
+        # (value, lower, upper, exact, certificate colors) of all four solvers
+        solvers = (strong_arboricity_exact, acyclic_chromatic_exact,
+                   chromatic_exact, chromatic_index_exact)
+
+        def outcome(res):
+            cert = None if res.certificate is None else res.certificate.colors
+            return res.value, res.lower, res.upper, res.exact, cert
+
+        assert [outcome(f(Graph(0, []))) for f in solvers] == [(0, 0, 0, True, ())] * 4
+        assert [outcome(f(Graph(3, []))) for f in solvers] == [
+            (0, 0, 0, True, ()), (1, 1, 1, True, (0, 0, 0)),
+            (1, 1, 1, True, (0, 0, 0)), (0, 0, 0, True, ())]
+        tight = Budget(max_nodes=3)
+        k6 = complete_graph(6)
+        square = (0, 1, 2, 3, 4, 5, 3, 6, 7, 4, 8, 9, 10, 11, 12)
+        assert [outcome(f(k6, tight)) for f in solvers] == [
+            (None, 5, 13, False, square), (None, 6, 6, False, None),
+            (None, 6, 6, False, None), (None, 5, None, False, None)]
+        assert type(strong_arboricity_exact(Graph(0, [])).certificate) is EdgeColoring
+        assert type(chromatic_exact(Graph(0, [])).certificate) is VertexColoring
 
     def test_sandwich_against_acyclic_chromatic(self, connected_n6):
         for g in connected_n6[::6]:

@@ -25,6 +25,7 @@ from woody import (
     path_graph,
     star_graph,
 )
+from woody.graphs import subset_adjacency, subset_bfs
 
 from conftest import corpus_lines, corpus_graphs, petersen_graph
 
@@ -50,6 +51,27 @@ class TestGraphModel:
         assert view.num_vertices == 3
         induced = {g.edges[i] for i in view.induced_edge_ids()}
         assert induced == {(0, 1), (1, 2)}
+
+
+class TestSubsetBfs:
+    def test_tree_in_discovery_order(self):
+        # the subset {0-1, 1-2, 1-3, 4-5} of K6: BFS from 0 stays in 0..3
+        g = complete_graph(6)
+        eids = [g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(1, 3), g.edge_id(4, 5)]
+        nbrs = subset_adjacency(g, eids)
+        assert nbrs[1] == [(0, eids[0]), (2, eids[1]), (3, eids[2])]
+        tree = subset_bfs(nbrs, 0)
+        assert list(tree.items()) == [
+            (0, None), (1, (0, eids[0])), (2, (1, eids[1])), (3, (1, eids[2]))]
+
+    def test_stops_at_dst(self):
+        g = path_graph(6)
+        nbrs = subset_adjacency(g, range(g.m))
+        assert list(subset_bfs(nbrs, 2, 1)) == [2, 1]
+        assert list(subset_bfs(nbrs, 2, 4)) == [2, 1, 3, 0, 4]
+        # a dst outside the subset ends the search at once
+        assert subset_bfs(subset_adjacency(g, [0, 1]), 0, 5) == {0: None}
+        assert 5 not in subset_bfs(subset_adjacency(g, [0, 1, 4]), 0, 5)
 
 
 class TestGraph6:

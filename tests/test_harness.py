@@ -22,7 +22,7 @@ from conftest import DATA
 
 
 def make_task(g6line, config, path="mem.g6", lineno=1):
-    return (path, lineno, g6line, config.to_dict())
+    return (path, lineno, g6line, config)
 
 
 DEFAULT = HuntConfig(conjectures=("planar4", "twoarb", "col", "girth-eq"))
@@ -255,6 +255,32 @@ class TestRunHunt:
         assert outcome.exit_code == 10
         # one solve in hunt_graph, one in the re-verification
         assert budgets == [Budget(12_345_678, 42.0)] * 2
+
+    def test_violation_halts_at_the_same_record_for_every_jobs_value(self, monkeypatch):
+        # workers inherit the patched bound only when forked
+        import multiprocessing
+
+        import woody.harness as H
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs forked workers to see the patched bound")
+        real_bound = H.conjecture_bound
+
+        def bound(name, record):
+            if record["graph_id"].endswith("planar_connected_n7.g6:300"):
+                return 0
+            return real_bound(name, record)
+
+        monkeypatch.setattr(H, "conjecture_bound", bound)
+        monkeypatch.setattr(H, "reverify_violation", lambda rec, budget: True)
+        paths = [str(DATA / "planar_connected_n7.g6")]
+        outcomes = [run_hunt(paths, HuntConfig(conjectures=("twoarb",)), jobs=jobs)
+                    for jobs in (1, 2)]
+        assert len(outcomes[0].records) == 300
+        assert [v["graph_id"] for v in outcomes[0].violations] == [paths[0] + ":300"]
+        assert outcomes[1].records == outcomes[0].records
+        assert outcomes[1].violations == outcomes[0].violations
+        assert outcomes[1].summary == outcomes[0].summary
 
     def test_jobs_do_not_change_report_bytes(self):
         config = HuntConfig(conjectures=("planar4", "twoarb", "col", "girth-eq"))

@@ -23,6 +23,7 @@ from woody import (
     strong_arboricity_exact,
 )
 from woody.graphs import Graph
+from woody.verify import is_proper_edge
 
 from conftest import contract_edge, multigraph_is_woody, random_coloring
 
@@ -53,6 +54,31 @@ class TestEdgeColoringType:
         for fn in (is_woody, is_strongly_woody):
             with pytest.raises(ValueError):
                 fn(c)
+
+    def test_vertex_coloring_shares_the_implementation(self):
+        # one implementation, two types: the length is n instead of m
+        g = path_graph(3)
+        v = VertexColoring(g, [4, 2, 4])
+        e = EdgeColoring(g, [4, 2])
+        assert type(v.normalized()) is VertexColoring
+        assert type(e.normalized()) is EdgeColoring
+        assert v.normalized().colors == (0, 1, 0)
+        assert repr(v) == "VertexColoring([4, 2, 4])"
+        assert repr(e) == "EdgeColoring([4, 2])"
+        assert v.used_colors() == {2, 4} and v.palette_size == 5
+        with pytest.raises(ValueError, match="expected 3 entries"):
+            VertexColoring(g, [0, 1])
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            EdgeColoring(g, [0, 1, 2])
+
+    def test_proper_edge(self):
+        g = cycle_graph(4)
+        assert is_proper_edge(EdgeColoring(g, [0, 1, 0, 1]))
+        assert not is_proper_edge(EdgeColoring(g, [0, 0, 1, 2]))
+        # edges 1 = (1, 2) and 3 = (0, 3) are disjoint
+        assert is_proper_edge(EdgeColoring(g, [0, 1, 2, 1]))
+        with pytest.raises(ValueError):
+            is_proper_edge(EdgeColoring(g, [0, 1, None, 1]))
 
 
 class TestIsWoody:
