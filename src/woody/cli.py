@@ -14,7 +14,7 @@ import re
 import sys
 
 from .construct import (
-    arboricity_square_coloring,
+    _square_coloring,
     derived_coloring,
     depth_parity_shading,
     partition_coloring,
@@ -175,8 +175,7 @@ def _color_product(g: Graph, budget: Budget):
 
 
 def _color_square(g: Graph, budget: Budget):
-    coloring = arboricity_square_coloring(g)
-    ell, _ = arboricity(g)
+    ell, coloring = _square_coloring(g)
     return coloring, f"palette {_palette(coloring)} <= 4 * arb^2 = {4 * ell * ell}"
 
 

@@ -140,6 +140,11 @@ def arboricity_square_coloring(g: Graph) -> EdgeColoring:
     coloring, which keeps triangles rainbow: at most 2*chi*arb colors,
     and chi <= 2*arb gives the 4*arb^2 bound.
     """
+    return _square_coloring(g)[1]
+
+
+def _square_coloring(g: Graph) -> tuple[int, EdgeColoring]:
+    """arboricity_square_coloring together with the arboricity it found."""
     ell, decomp = arboricity(g)
     shaded = depth_parity_shading(decomp)
     if not has_triangle(g):
@@ -154,7 +159,7 @@ def arboricity_square_coloring(g: Graph) -> EdgeColoring:
     ok, witness = is_strongly_woody(result)
     if not ok:
         raise AssertionError(f"square pipeline produced invalid coloring: {witness}")
-    return result
+    return ell, result
 
 
 def partition_coloring(g: Graph, a, f) -> EdgeColoring:

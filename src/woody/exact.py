@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .construct import arboricity_square_coloring
 from .decompose import arboricity
+from .errors import GuardError
 from .graphs import Graph, connected_components, girth, has_cycle, has_triangle
 from .unionfind import RollbackUnionFind
 from .verify import (
@@ -26,6 +27,11 @@ from .verify import (
     is_proper_vertex,
     is_strongly_woody,
 )
+
+# the unpruned oracle search verifies every canonical coloring with up to
+# zeta colors: K5 (m = 10) takes about 2 s, while refuting k = 4 alone on
+# K6 (m = 15) means 44.7M leaves
+ORACLE_MAX_EDGES = 10
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,13 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     Iterative deepening from a lower bound combining arboricity, the
     rainbow-star conflict bound, and the triangle rule. prune=False is the
     oracle mode used by the test suite: no feasibility pruning, full leaf
-    verification, deepening from k=1. On budget exhaustion the square
-    pipeline's coloring is the reported upper bound.
+    verification, deepening from k=1; it raises GuardError at once on
+    graphs with more than ORACLE_MAX_EDGES edges. On budget exhaustion the
+    square pipeline's coloring is the reported upper bound.
     """
+    if not prune and g.m > ORACLE_MAX_EDGES:
+        raise GuardError(
+            f"unpruned search guarded at m <= {ORACLE_MAX_EDGES} (got m={g.m})")
     order = _edge_order(g)
 
     def fallback():

@@ -219,26 +219,63 @@ def _class_path(g: Graph, class_edges: list[int], src: int, dst: int
     return verts, eids
 
 
+def _port_forest(g: Graph, labels: Sequence) -> tuple[tuple | None, list[dict], UnionFind]:
+    """Join the edges of every class in one union-find over ports.
+
+    labels[e] is the class of edge e. Classes are joined in sorted label
+    order, the edges of a class in index order. A port is a (vertex, label)
+    pair with an edge of that label at the vertex, so there are at most 2m
+    ports and classes never share one. Returns (cycle, ports, uf): ports[v]
+    maps each label present at v to an element of uf, so two vertices share
+    a component of a class iff their elements for it have one root. cycle
+    is None when every class is a forest; otherwise building stopped at the
+    first join that failed, and cycle is (label, vertices, edge ids) of the
+    cycle it closed, closing edge last.
+    """
+    edges = g.edges
+    ports: list[dict] = [{} for _ in range(g.n)]
+    # an element is named after the edge that starts its tree; a port seen
+    # for the first time joins its neighbour's tree without a union
+    uf = UnionFind(g.m)
+    order = sorted(range(g.m), key=labels.__getitem__)  # stable: index order
+    current, start = None, 0
+    for i, e in enumerate(order):
+        label = labels[e]
+        if label != current:
+            current, start = label, i
+        u, v = edges[e]
+        at_u, at_v = ports[u], ports[v]
+        a, b = at_u.get(label), at_v.get(label)
+        if a is None:
+            at_u[label] = at_v.setdefault(label, e) if b is None else b
+        elif b is None:
+            at_v[label] = a
+        elif not uf.union(a, b):
+            verts, path = _class_path(g, order[start:i], u, v)
+            return (label, tuple(verts), tuple(path) + (e,)), ports, uf
+    return None, ports, uf
+
+
+def _woody_ports(c: EdgeColoring):
+    """is_woody's witness, and _port_forest's ports and union-find for
+    is_strongly_woody to reuse."""
+    _require_total(c)
+    cycle, ports, uf = _port_forest(c.parent, c.colors)
+    witness = None
+    if cycle is not None:
+        color, verts, path = cycle
+        witness = BrokenCycleWitness("monochromatic_cycle", color, verts, path, None)
+    return witness, ports, uf
+
+
 def is_woody(c: EdgeColoring) -> tuple[bool, BrokenCycleWitness | None]:
     """True iff every color class induces a forest.
 
-    On failure, returns a monochromatic cycle witness for the first class
-    in which adding an edge closed a cycle.
+    On failure, returns a monochromatic cycle witness for the first class,
+    in color order, in which adding an edge (in index order) closed a cycle.
     """
-    _require_total(c)
-    g = c.parent
-    for color, eids in sorted(c.classes().items()):
-        uf = UnionFind(g.n)
-        placed: list[int] = []
-        for e in eids:
-            u, v = g.edges[e]
-            if not uf.union(u, v):
-                verts, path = _class_path(g, placed, u, v)
-                return False, BrokenCycleWitness(
-                    "monochromatic_cycle", color,
-                    tuple(verts), tuple(path) + (e,), None)
-            placed.append(e)
-    return True, None
+    witness = _woody_ports(c)[0]
+    return witness is None, witness
 
 
 def is_strongly_woody(c: EdgeColoring) -> tuple[bool, BrokenCycleWitness | None]:
@@ -249,25 +286,37 @@ def is_strongly_woody(c: EdgeColoring) -> tuple[bool, BrokenCycleWitness | None]
     components of class k. Its equivalence to the cycle-based definition
     is not taken on faith; the test suite cross-checks it against
     is_strongly_woody_oracle, which remains the authority.
+
+    Only colors present at both u and v can join them, so each edge costs
+    min(deg u, deg v) lookups: O(n + sum over uv of min(deg u, deg v)),
+    which is at most O(n + a(G) m) (Chiba & Nishizeki 1985). Of all
+    violations the one with the smallest (color, edge index) is reported.
     """
-    ok, witness = is_woody(c)
-    if not ok:
+    witness, ports, uf = _woody_ports(c)
+    if witness is not None:
         return False, witness
     g = c.parent
-    for color, eids in sorted(c.classes().items()):
-        uf = UnionFind(g.n)
-        for e in eids:
-            u, v = g.edges[e]
-            uf.union(u, v)
-        for idx, (u, v) in enumerate(g.edges):
-            if c.colors[idx] == color:
-                continue
-            if uf.find(u) == uf.find(v):
-                verts, path = _class_path(g, eids, u, v)
-                return False, BrokenCycleWitness(
-                    "monochromatic_broken_cycle", color,
-                    tuple(verts), tuple(path), idx)
-    return True, None
+    colors = c.colors
+    find = uf.find
+    bad: tuple[int, int] | None = None
+    for idx, (u, v) in enumerate(g.edges):
+        at_u, at_v = ports[u], ports[v]
+        if len(at_u) > len(at_v):
+            at_u, at_v = at_v, at_u
+        own = colors[idx]
+        for k, p in at_u.items():
+            if k != own and (bad is None or k < bad[0]):
+                q = at_v.get(k)
+                if q is not None and find(p) == find(q):
+                    bad = (k, idx)
+    if bad is None:
+        return True, None
+    color, idx = bad
+    u, v = g.edges[idx]
+    class_edges = [e for e, k in enumerate(colors) if k == color]
+    verts, path = _class_path(g, class_edges, u, v)
+    return False, BrokenCycleWitness(
+        "monochromatic_broken_cycle", color, tuple(verts), tuple(path), idx)
 
 
 def enumerate_cycles(g: Graph, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -364,26 +413,20 @@ def is_proper_edge(c: EdgeColoring) -> bool:
 def is_acyclic_vertex(f: VertexColoring) -> tuple[bool, BicoloredCycleWitness | None]:
     """Proper and no cycle uses only two colors.
 
-    For each color pair the edges within the union of the two classes are
-    fed to a union-find; a repeated join yields the bicolored cycle witness.
+    The edges between each pair of color classes form one class of
+    _port_forest, pairs in sorted order; a cycle in a class is the bicolored
+    cycle witness.
     """
     _require_total(f)
     if not is_proper_vertex(f):
         return False, None
     g = f.parent
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, v) in enumerate(g.edges):
+    pairs = []
+    for u, v in g.edges:
         a, b = f.colors[u], f.colors[v]
-        pair = (a, b) if a < b else (b, a)
-        by_pair.setdefault(pair, []).append(idx)
-    for pair, eids in sorted(by_pair.items()):
-        uf = UnionFind(g.n)
-        placed: list[int] = []
-        for e in eids:
-            u, v = g.edges[e]
-            if not uf.union(u, v):
-                verts, path = _class_path(g, placed, u, v)
-                return False, BicoloredCycleWitness(
-                    pair, tuple(verts), tuple(path) + (e,))
-            placed.append(e)
-    return True, None
+        pairs.append((a, b) if a < b else (b, a))
+    cycle, _, _ = _port_forest(g, pairs)
+    if cycle is None:
+        return True, None
+    pair, verts, path = cycle
+    return False, BicoloredCycleWitness(pair, verts, path)

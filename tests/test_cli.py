@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import woody.cli
+import woody.construct
 from woody import (
     EdgeColoring,
     complete_graph,
@@ -108,6 +110,20 @@ class TestColorCommand:
         main(["color", gp, "--method", "square", "-o", out])
         colors = [int(t) for t in open(out).read().split()]
         assert max(colors) + 1 <= 16
+
+    def test_square_computes_arboricity_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = woody.construct.arboricity
+
+        def counted(g):
+            calls.append(g.m)
+            return real(g)
+
+        for module in (woody.construct, woody.cli):
+            monkeypatch.setattr(module, "arboricity", counted)
+        gp = write_graph(tmp_path, complete_graph(5))
+        assert main(["color", gp, "--method", "square", "-o", str(tmp_path / "o")]) == 0
+        assert calls == [10]
 
     def test_parity_precondition_failure(self, tmp_path, capsys):
         gp = write_graph(tmp_path, complete_graph(4))

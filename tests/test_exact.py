@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import woody.exact
 from woody import (
     Budget,
     EdgeColoring,
+    GuardError,
     VertexColoring,
     acyclic_chromatic_exact,
     adjacent_conflict_bound,
@@ -58,6 +60,18 @@ class TestStrongArboricity:
             fast = strong_arboricity_exact(g).value
             slow = strong_arboricity_exact(g, prune=False).value
             assert fast == slow, g.edges
+
+    def test_unpruned_oracle_mode_is_guarded(self, monkeypatch):
+        # K6 has 15 edges: refused before any search starts
+        def no_search(*args):
+            raise AssertionError("the guard must act before the search")
+
+        monkeypatch.setattr(woody.exact, "_search_strongly_woody", no_search)
+        with pytest.raises(GuardError, match="m <= 10"):
+            strong_arboricity_exact(complete_graph(6), prune=False)
+        monkeypatch.undo()
+        # at the limit the oracle still runs
+        assert strong_arboricity_exact(path_graph(11), prune=False).value == 1
 
     def test_isomorphism_invariance(self, connected_n6):
         rng = random.Random(2718)

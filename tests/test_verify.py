@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,24 @@ from woody import (
     star_graph,
     strong_arboricity_exact,
 )
+from woody.construct import arboricity_square_coloring
 from woody.graphs import Graph
-from woody.verify import is_proper_edge
+from woody.unionfind import UnionFind
+from woody.verify import (
+    BicoloredCycleWitness,
+    BrokenCycleWitness,
+    _class_path,
+    is_proper_edge,
+)
 
-from conftest import contract_edge, multigraph_is_woody, random_coloring
+from conftest import (
+    connected_upto,
+    contract_edge,
+    corpus_graphs,
+    grid_graph,
+    multigraph_is_woody,
+    random_coloring,
+)
 
 
 class TestEdgeColoringType:
@@ -308,3 +323,186 @@ class TestCycleEnumeration:
     def test_max_length_filter(self, n):
         g = complete_graph(n)
         assert all(len(c) <= 4 for c in enumerate_cycles(g, max_length=4))
+
+
+# ---------------------------------------------------------------------------
+# the color-major scan the verifiers used before the port union-find: one
+# union-find per color class (or color pair), rebuilt for the strong check,
+# and every edge tested against every class. Kept here as the reference the
+# witnesses must match byte for byte.
+
+
+def ref_is_woody(c):
+    g = c.parent
+    for color, eids in sorted(c.classes().items()):
+        uf = UnionFind(g.n)
+        placed = []
+        for e in eids:
+            u, v = g.edges[e]
+            if not uf.union(u, v):
+                verts, path = _class_path(g, placed, u, v)
+                return False, BrokenCycleWitness(
+                    "monochromatic_cycle", color,
+                    tuple(verts), tuple(path) + (e,), None)
+            placed.append(e)
+    return True, None
+
+
+def ref_is_strongly_woody(c):
+    ok, witness = ref_is_woody(c)
+    if not ok:
+        return False, witness
+    g = c.parent
+    for color, eids in sorted(c.classes().items()):
+        uf = UnionFind(g.n)
+        for e in eids:
+            u, v = g.edges[e]
+            uf.union(u, v)
+        for idx, (u, v) in enumerate(g.edges):
+            if c.colors[idx] == color:
+                continue
+            if uf.find(u) == uf.find(v):
+                verts, path = _class_path(g, eids, u, v)
+                return False, BrokenCycleWitness(
+                    "monochromatic_broken_cycle", color,
+                    tuple(verts), tuple(path), idx)
+    return True, None
+
+
+def ref_is_acyclic_vertex(f):
+    if not is_proper_vertex(f):
+        return False, None
+    g = f.parent
+    by_pair = {}
+    for idx, (u, v) in enumerate(g.edges):
+        a, b = f.colors[u], f.colors[v]
+        by_pair.setdefault((min(a, b), max(a, b)), []).append(idx)
+    for pair, eids in sorted(by_pair.items()):
+        uf = UnionFind(g.n)
+        placed = []
+        for e in eids:
+            u, v = g.edges[e]
+            if not uf.union(u, v):
+                verts, path = _class_path(g, placed, u, v)
+                return False, BicoloredCycleWitness(
+                    pair, tuple(verts), tuple(path) + (e,))
+            placed.append(e)
+    return True, None
+
+
+def _as_json(result):
+    ok, witness = result
+    return ok, witness.to_json() if witness is not None else None
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices permuted and its edge indices shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, edges)
+
+
+def greedy_vertex_coloring(g: Graph, rng: random.Random) -> list[int]:
+    order = list(range(g.n))
+    rng.shuffle(order)
+    colors = [None] * g.n
+    for v in order:
+        used = {colors[w] for w in g.adj[v]}
+        colors[v] = min(set(range(len(used) + 1)) - used)
+    return colors
+
+
+def _edge_colorings(g: Graph, rng: random.Random):
+    for palette in (2, 3, 4, 6):
+        yield random_coloring(g, palette, rng)
+    rainbow = list(range(g.m))
+    rng.shuffle(rainbow)
+    yield rainbow
+
+
+def _vertex_colorings(g: Graph, rng: random.Random):
+    yield [rng.randrange(2) for _ in range(g.n)]
+    yield [rng.randrange(3) for _ in range(g.n)]
+    yield greedy_vertex_coloring(g, rng)
+
+
+class TestPortVerifierMatchesColorMajorScan:
+    def _compare(self, g: Graph, rng: random.Random) -> None:
+        for colors in _edge_colorings(g, rng):
+            c = EdgeColoring(g, colors)
+            assert _as_json(is_woody(c)) == _as_json(ref_is_woody(c)), colors
+            assert _as_json(is_strongly_woody(c)) == _as_json(ref_is_strongly_woody(c)), colors
+        for colors in _vertex_colorings(g, rng):
+            f = VertexColoring(g, colors)
+            assert _as_json(is_acyclic_vertex(f)) == _as_json(ref_is_acyclic_vertex(f)), colors
+
+    def test_corpus_graphs(self):
+        rng = random.Random(4)
+        graphs = (connected_upto(7)[::7]
+                  + corpus_graphs("planar_connected_n8.g6")[::40]
+                  + corpus_graphs("triangle_free_planar_upto12.g6")[::20])
+        for g in graphs:
+            self._compare(g, rng)
+            self._compare(relabeled(g, rng), rng)
+
+    def test_relabeled_grid(self):
+        rng = random.Random(30)
+        g = relabeled(grid_graph(30, 30), rng)
+        for colors in _vertex_colorings(g, rng):
+            f = VertexColoring(g, colors)
+            assert _as_json(is_acyclic_vertex(f)) == _as_json(ref_is_acyclic_vertex(f))
+        # random colorings of a grid close a one-color square almost surely;
+        # recoloring a few edges of the square pipeline's coloring gives
+        # broken-cycle witnesses as well
+        square = arboricity_square_coloring(g)
+        inputs = [square] + [EdgeColoring(g, random_coloring(g, k, rng)) for k in (2, 4, 8)]
+        for recolored in (1, 2, 3, 5, 10, 40):
+            colors = list(square.colors)
+            for e in rng.sample(range(g.m), recolored):
+                colors[e] = rng.randrange(square.palette_size)
+            inputs.append(EdgeColoring(g, colors))
+        for c in inputs:
+            assert _as_json(is_woody(c)) == _as_json(ref_is_woody(c))
+            assert _as_json(is_strongly_woody(c)) == _as_json(ref_is_strongly_woody(c))
+
+
+class TestWitnessOrder:
+    def test_smallest_color_wins_over_earlier_closing_edge(self):
+        # color 1's path 3-4-5 is closed by edge 0, color 0's path 0-1-2 by
+        # edge 5: a scan in edge order meets color 1 first, but the witness
+        # is the smallest color's
+        g = Graph(6, [(3, 5), (3, 4), (4, 5), (0, 1), (1, 2), (0, 2)])
+        c = EdgeColoring(g, [2, 1, 1, 0, 0, 2])
+        ok, witness = is_strongly_woody(c)
+        assert not ok
+        assert witness == BrokenCycleWitness(
+            "monochromatic_broken_cycle", 0, (0, 1, 2), (3, 4), 5)
+        assert witness.check(c)
+        assert _as_json((ok, witness)) == _as_json(ref_is_strongly_woody(c))
+
+
+class TestScaling:
+    def test_rainbow_grid_60(self):
+        g = grid_graph(60, 60)
+        assert g.m == 7080
+        t0 = time.perf_counter()
+        ok, witness = is_strongly_woody(EdgeColoring(g, range(g.m)))
+        assert time.perf_counter() - t0 < 2.0
+        assert ok and witness is None
+
+    def test_planted_violation_on_grid_60(self):
+        g = grid_graph(60, 60)
+        v = 29 * 60 + 29
+        sides = [g.edge_id(v, v + 1), g.edge_id(v + 1, v + 61), g.edge_id(v + 60, v + 61)]
+        colors = list(range(g.m))
+        for e in sides:
+            colors[e] = colors[sides[0]]
+        c = EdgeColoring(g, colors)
+        ok, witness = is_strongly_woody(c)
+        assert not ok
+        assert witness.kind == "monochromatic_broken_cycle"
+        assert witness.closing_edge == g.edge_id(v, v + 60)
+        assert sorted(witness.path_edges) == sorted(sides)
+        assert witness.check(c)
