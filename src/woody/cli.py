@@ -309,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
-        p.add_argument("--budget-secs", type=float, default=None, dest="budget_secs")
+        p.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes",
+                       help=f"search nodes per solver call (default {DEFAULT_BUDGET_NODES})")
+        p.add_argument("--budget-secs", type=float, default=None, dest="budget_secs",
+                       help=f"seconds per solver call (default {DEFAULT_BUDGET_SECONDS:g})")
         p.add_argument("--config", default=None, help="key=value file merged under flags")
 
     p_verify = sub.add_parser("verify", help="check a coloring file against a graph")

@@ -64,7 +64,8 @@ def mcgee_graph() -> Graph:
     return lcf_graph(24, [12, 7, -7], 8)
 
 
-def grid_graph(rows: int, cols: int) -> Graph:
+def grid_graph(rows: int, cols: int, triangulated: bool = False) -> Graph:
+    """The rows x cols grid; triangulated adds the down-right diagonals."""
     def vid(r, c):
         return r * cols + c
 
@@ -75,7 +76,18 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((vid(r, c), vid(r, c + 1)))
             if r + 1 < rows:
                 edges.append((vid(r, c), vid(r + 1, c)))
+            if triangulated and r + 1 < rows and c + 1 < cols:
+                edges.append((vid(r, c), vid(r + 1, c + 1)))
     return Graph(rows * cols, edges)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices permuted and its edge indices shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, edges)
 
 
 def subdivide(g: Graph, times: int) -> Graph:

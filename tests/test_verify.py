@@ -40,6 +40,7 @@ from conftest import (
     grid_graph,
     multigraph_is_woody,
     random_coloring,
+    relabeled,
 )
 
 
@@ -393,15 +394,6 @@ def ref_is_acyclic_vertex(f):
 def _as_json(result):
     ok, witness = result
     return ok, witness.to_json() if witness is not None else None
-
-
-def relabeled(g: Graph, rng: random.Random) -> Graph:
-    """g with its vertices permuted and its edge indices shuffled."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    rng.shuffle(edges)
-    return Graph(g.n, edges)
 
 
 def greedy_vertex_coloring(g: Graph, rng: random.Random) -> list[int]:
