@@ -124,7 +124,7 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
         chi_res = staged("chi", lambda: chromatic_exact(g, budget))
         chi = chi_res.value
     chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, budget))
-    zeta_res = staged("zeta", lambda: strong_arboricity_exact(g, budget))
+    zeta_res = staged("zeta", lambda: strong_arboricity_exact(g, budget, arb=arb_k))
 
     record: dict = {
         "graph_id": graph_id,

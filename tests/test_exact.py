@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -25,10 +26,19 @@ from woody import (
     path_graph,
     star_graph,
     strong_arboricity_exact,
+    strong_arboricity_lower_bound,
 )
 from woody.graphs import Graph
 
-from conftest import complete_bipartite, corpus_graphs, petersen_graph, subdivide
+from conftest import (
+    complete_bipartite,
+    corpus_graphs,
+    grid_graph,
+    mcgee_graph,
+    petersen_graph,
+    relabeled,
+    subdivide,
+)
 
 
 class TestStrongArboricity:
@@ -62,10 +72,12 @@ class TestStrongArboricity:
             assert fast == slow, g.edges
 
     def test_unpruned_oracle_mode_is_guarded(self, monkeypatch):
-        # K6 has 15 edges: refused before any search starts
+        # K6 has 15 edges: refused before any search starts; the oracle runs
+        # the proper coloring search, the pruned mode the strongly woody one
         def no_search(*args):
             raise AssertionError("the guard must act before the search")
 
+        monkeypatch.setattr(woody.exact, "_search_proper_vertex", no_search)
         monkeypatch.setattr(woody.exact, "_search_strongly_woody", no_search)
         with pytest.raises(GuardError, match="m <= 10"):
             strong_arboricity_exact(complete_graph(6), prune=False)
@@ -95,13 +107,15 @@ class TestStrongArboricity:
         assert res.certificate.palette_size == res.upper
 
     def test_search_tree_is_pinned(self):
-        # node counts of the pruned search; a change to its pruning or its
-        # edge order must update these on purpose and say why
-        assert strong_arboricity_exact(complete_bipartite(4, 5)).nodes == 39_277
-        assert strong_arboricity_exact(complete_bipartite(4, 6)).nodes == 228_892
-        assert strong_arboricity_exact(complete_graph(7)).nodes == 9_375
-        assert strong_arboricity_exact(petersen_graph()).nodes == 2_310
-        for name, total in (("connected_n6.g6", 3_223), ("connected_n7.g6", 101_367)):
+        # node counts of the pruned search (forward-checked, most constrained
+        # edge first); a change to its pruning or its edge order must update
+        # these on purpose and say why
+        assert strong_arboricity_exact(complete_bipartite(4, 5)).nodes == 380
+        assert strong_arboricity_exact(complete_bipartite(4, 6)).nodes == 384
+        assert strong_arboricity_exact(complete_bipartite(5, 5)).nodes == 395
+        assert strong_arboricity_exact(complete_graph(7)).nodes == 952
+        assert strong_arboricity_exact(petersen_graph()).nodes == 423
+        for name, total in (("connected_n6.g6", 1_109), ("connected_n7.g6", 13_330)):
             nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
 
@@ -131,6 +145,75 @@ class TestStrongArboricity:
         for g in connected_n6[::6]:
             z = strong_arboricity_exact(g).value
             assert arboricity(g)[0] <= z <= acyclic_chromatic_exact(g).value
+
+
+def static_order_zeta(g: Graph) -> int:
+    """ζ by the static-order search: deepening from the same lower bound,
+    edges in decreasing degree sum, every candidate color checked against
+    rules (i) and (ii) when it is tried."""
+    order = sorted(range(g.m), key=lambda e: (-sum(map(g.degree, g.edges[e])), e))
+    adj = [sum(1 << w for w in g.adj[x]) for x in range(g.n)]
+
+    def fits(k):
+        parent = [list(range(g.n)) for _ in range(k)]
+        member = [[1 << x for x in range(g.n)] for _ in range(k)]
+        nbr = [list(adj) for _ in range(k)]
+
+        def find(par, x):
+            while par[x] != x:
+                x = par[x]
+            return x
+
+        def dfs(pos, used):
+            if pos == g.m:
+                return True
+            u, v = g.edges[order[pos]]
+            for c in range(min(k, used + 1)):
+                par, mem, nb = parent[c], member[c], nbr[c]
+                ru, rv = find(par, u), find(par, v)
+                if ru == rv or nb[ru] & mem[rv] != 1 << v or adj[v] & mem[ru] != 1 << u:
+                    continue
+                par[rv] = ru
+                saved = mem[ru], nb[ru]
+                mem[ru] |= mem[rv]
+                nb[ru] |= nb[rv]
+                if dfs(pos + 1, max(used, c + 1)):
+                    return True
+                mem[ru], nb[ru] = saved
+                par[rv] = rv
+            return False
+
+        return dfs(0, 0)
+
+    k = strong_arboricity_lower_bound(g)
+    while g.m and not fits(k):
+        k += 1
+    return k
+
+
+class TestAgreementWithStaticOrder:
+    # the oracle stops at m <= 10; past it, the forward-checked search must
+    # give the value of the static-order search it replaced
+
+    def check(self, graphs):
+        for g in graphs:
+            res = strong_arboricity_exact(g)
+            assert res.value == static_order_zeta(g), g.edges
+            assert is_strongly_woody(res.certificate)[0]
+            assert res.certificate.palette_size == res.value
+
+    def test_connected_upto_7(self, connected_n7):
+        self.check(connected_n7)
+
+    def test_every_8th_connected_8(self):
+        self.check(corpus_graphs("connected_n8.g6")[::8])
+
+    def test_triangle_free_planar_upto_12(self):
+        self.check(corpus_graphs("triangle_free_planar_upto12.g6"))
+
+    def test_named_graphs(self):
+        self.check([complete_bipartite(4, 5), complete_bipartite(4, 6),
+                    complete_graph(6), complete_graph(7), petersen_graph()])
 
 
 class TestDisconnectedInputs:
@@ -167,6 +250,48 @@ class TestLowerBounds:
         assert max_clique_size(cycle_graph(6)) == 2
         assert max_clique_size(Graph(3, [])) == 1
         assert max_clique_size(petersen_graph()) == 2
+
+    def test_lower_bound_takes_a_known_arboricity(self, connected_n6):
+        for g in connected_n6[::5]:
+            arb = arboricity(g)[0]
+            assert strong_arboricity_lower_bound(g, arb) == strong_arboricity_lower_bound(g)
+            with_arb, without = strong_arboricity_exact(g, arb=arb), strong_arboricity_exact(g)
+            assert (with_arb.value, with_arb.nodes, with_arb.certificate.colors) == (
+                without.value, without.nodes, without.certificate.colors)
+
+    def test_greedy_clique_matches_the_full_scan(self):
+        # past 24 candidates: the greedy clique grown from the neighbours of
+        # each start vertex is the one a scan over every candidate grows
+        def full_scan(g, verts):
+            verts = sorted(verts)
+            nbr = {v: g.neighbor_set(v) for v in verts}
+            best = 0
+            for v in sorted(verts, key=lambda x: -len(nbr[x] & set(verts))):
+                clique = {v}
+                for w in verts:
+                    if w != v and all(w in nbr[u] for u in clique):
+                        clique.add(w)
+                best = max(best, len(clique))
+            return best
+
+        rng = random.Random(1979)
+        for _ in range(60):
+            n = rng.randint(25, 45)
+            p = rng.choice((0.15, 0.4, 0.7, 0.9))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            subset = rng.sample(range(n), rng.randint(25, n))
+            assert max_clique_size(g) == full_scan(g, range(n))
+            assert max_clique_size(g, subset) == full_scan(g, subset)
+
+    def test_conflict_bound_on_a_hub_over_a_large_grid(self):
+        # the hub's 3,600 neighbours take the greedy clique branch; growing
+        # each start vertex's clique from its own neighbours keeps it fast
+        grid = grid_graph(60, 60, triangulated=True)
+        g = Graph(grid.n + 1, list(grid.edges) + [(v, grid.n) for v in range(grid.n)])
+        t0 = time.perf_counter()
+        assert adjacent_conflict_bound(g) == 3
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestAcyclicChromatic:
@@ -212,6 +337,47 @@ class TestChromaticIndex:
         for v in range(g.n):
             inc = [res.certificate.colors[g.edge_id(v, w)] for w in g.adj[v]]
             assert len(set(inc)) == len(inc)
+
+    def test_matches_static_order_search(self, connected_n6, connected_n7):
+        # the proper coloring search over the line graph in a fixed edge
+        # order, which the forward-checked search replaced
+        def static_order_index(g):
+            order = sorted(range(g.m), key=lambda e: (-sum(map(g.degree, g.edges[e])), e))
+            line = [[g.edge_id(x, w) for x in uv for w in g.adj[x] if w not in uv]
+                    for uv in g.edges]
+            colors = [None] * g.m
+
+            def dfs(pos, used, k):
+                if pos == g.m:
+                    return True
+                e = order[pos]
+                forb = {colors[f] for f in line[e]}
+                for c in range(min(k, used + 1)):
+                    if c not in forb:
+                        colors[e] = c
+                        if dfs(pos + 1, max(used, c + 1), k):
+                            return True
+                        colors[e] = None
+                return False
+
+            k = max(map(g.degree, range(g.n)))
+            while not dfs(0, 0, k):
+                k += 1
+            return k
+
+        for g in connected_n6 + connected_n7[::3] + [petersen_graph(), mcgee_graph()]:
+            res = chromatic_index_exact(g)
+            assert res.value == static_order_index(g), g.edges
+            assert res.certificate.palette_size == res.value
+
+    def test_labeling_does_not_grow_the_tree(self):
+        # under the static order, seeded relabelings of McGee took from
+        # 1,695 to 276,006 nodes; the dynamic order needs at most 207 on 60
+        rng = random.Random(7)
+        for _ in range(20):
+            g = relabeled(mcgee_graph(), rng)
+            res = chromatic_index_exact(g)
+            assert res.value == 3 and res.nodes <= 1000
 
 
 class TestPartitionSearch:

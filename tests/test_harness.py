@@ -165,6 +165,26 @@ class TestRunHunt:
         assert outcome.summary["planar4_holds"] == 20
         assert outcome.summary["provenance"] == "planar atlas n=5"
 
+    def test_arboricity_runs_once_per_hunted_graph(self, monkeypatch):
+        # hunt_graph hands its arboricity to the strong arboricity lower
+        # bound instead of letting the solver compute it again
+        import woody.construct
+        import woody.decompose
+        import woody.exact
+        import woody.harness
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return woody.decompose.arboricity(g)
+
+        for module in (woody.harness, woody.exact, woody.construct):
+            monkeypatch.setattr(module, "arboricity", counted)
+        outcome = run_hunt([str(DATA / "planar_connected_n6.g6")], DEFAULT, jobs=1)
+        assert outcome.exit_code == 0
+        assert len(outcome.records) == len(calls) == 99
+
     def test_twoarb_holds_on_small_cliques(self, tmp_path):
         f = tmp_path / "cliques.g6"
         f.write_text("".join(
@@ -241,10 +261,10 @@ class TestRunHunt:
         budgets = []
         real_solve = H.strong_arboricity_exact
 
-        def spy(g, budget=None):
+        def spy(g, budget=None, arb=None):
             budgets.append(budget)
             # an impossible lower bound lets the forced violation re-verify
-            return dataclasses.replace(real_solve(g, budget), lower=99)
+            return dataclasses.replace(real_solve(g, budget, arb=arb), lower=99)
 
         monkeypatch.setattr(H, "strong_arboricity_exact", spy)
         f = tmp_path / "k4.g6"
