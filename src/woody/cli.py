@@ -1,9 +1,9 @@
 """Command-line front end: verify | color | exact | hunt.
 
 Exit codes: 0 success / valid / no violation, 1 invalid coloring or failed
-precondition, 2 unreadable input (parse or size-guard errors), 4 exact
-solve ended inexact on budget, 10 conjecture violation found (the
-counterexample is quarantined first).
+precondition, 2 unreadable input (parse or size-guard errors), a bad
+option or a crashed hunt worker, 4 exact solve ended inexact on budget,
+10 conjecture violation found (the counterexample is quarantined first).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .construct import (
     triangle_free_planar_coloring,
 )
 from .decompose import arboricity
-from .errors import GraphFormatError, GuardError, PreconditionError
+from .errors import GraphFormatError, GuardError, PreconditionError, WorkerCrashError
 from .exact import (
     Budget,
     acyclic_chromatic_exact,
@@ -250,12 +250,16 @@ def cmd_hunt(args) -> int:
         timings=args.timings,
         with_chi=args.with_chi,
         provenance=args.provenance or "",
-        seed=args.seed,
+        seed=args.seed or 0,
     )
     try:
-        outcome = run_hunt(args.corpus, config, jobs=args.jobs or 1)
+        outcome = run_hunt(args.corpus, config,
+                           jobs=1 if args.jobs is None else args.jobs)
     except GraphFormatError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except WorkerCrashError as exc:
+        print(f"hunt aborted: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with open(args.report, "w", encoding="ascii") as fh:
         write_jsonl(outcome.records, fh)
@@ -298,7 +302,9 @@ def _apply_config(args) -> None:
     for key, raw in values.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key, None) in (None, False):
+        # unset flags are None or False; a flag given as 0 still wins
+        value = getattr(args, key, None)
+        if value is None or value is False:
             setattr(args, key, _CONFIG_KEYS[key](raw))
 
 
@@ -344,7 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("corpus", nargs="+")
     p_hunt.add_argument("--conjectures", default=None,
                         help=f"comma list from: {', '.join(CONJECTURES)}")
-    p_hunt.add_argument("--jobs", type=int, default=None)
+    p_hunt.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default 1, at least 1); graphs go "
+                             "to workers in chunks of at most 32, in corpus order, "
+                             "and no more workers start than there are chunks; a "
+                             "violation stop waits only for the chunks already "
+                             "running; a crashed worker exits 2 naming the first "
+                             "graph without a record")
     p_hunt.add_argument("--strict", action="store_true")
     p_hunt.add_argument("--timings", action="store_true",
                         help="include per-stage milliseconds in records "
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--with-chi", action="store_true", dest="with_chi")
     p_hunt.add_argument("--provenance", default=None,
                         help="generator name / declared class, recorded verbatim")
-    p_hunt.add_argument("--seed", type=int, default=0)
+    p_hunt.add_argument("--seed", type=int, default=None)
     p_hunt.add_argument("--report", default="hunt_report.jsonl")
     p_hunt.add_argument("--summary", default="hunt_summary.csv")
     p_hunt.add_argument("--quarantine", default="quarantine.jsonl")

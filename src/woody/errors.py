@@ -21,3 +21,11 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+class WorkerCrashError(RuntimeError):
+    """A hunt worker process died; graph_id is the first graph without a record."""
+
+    def __init__(self, graph_id: str):
+        super().__init__(f"a worker process died before the record of {graph_id} arrived")
+        self.graph_id = graph_id

@@ -14,11 +14,13 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .decompose import ForestDecomposition, arboricity
-from .errors import GraphFormatError
+from .errors import GraphFormatError, WorkerCrashError
 from .exact import Budget, acyclic_chromatic_exact, chromatic_exact, strong_arboricity_exact
 from .graphs import Graph, coloring_number, euler_planar_sanity, girth, parse_graph6
 from .verify import EdgeColoring
@@ -33,6 +35,11 @@ CONJECTURES = ("planar4", "twoarb", "col", "girth-eq")
 BOUNDED_CONJECTURES = ("planar4", "twoarb", "col")
 
 VIOLATION_EXIT_CODE = 10
+
+# Largest number of graphs sent to a worker in one round trip. A violation
+# stop waits for the chunks already running, at most one per worker, and a
+# heavy tail of costly graphs stays spread over the workers.
+MAX_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -110,10 +117,9 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     timing: dict[str, float] = {}
 
     def staged(name, fn):
-        import time as _time
-        t = _time.monotonic()
+        t = time.monotonic()
         out = fn()
-        timing[name] = round((_time.monotonic() - t) * 1000.0, 3)
+        timing[name] = round((time.monotonic() - t) * 1000.0, 3)
         return out
 
     gir = staged("girth", lambda: girth(g))
@@ -239,8 +245,16 @@ class HuntOutcome:
     exit_code: int = 0
 
 
+def chunk_size(num_tasks: int, jobs: int) -> int:
+    """Graphs per worker round trip: about four chunks per worker, as in
+    multiprocessing.Pool.map, and at most MAX_CHUNK."""
+    return max(1, min(MAX_CHUNK, math.ceil(num_tasks / (4 * jobs))))
+
+
 def run_hunt(paths, config: HuntConfig, jobs: int = 1,
              log=lambda msg: print(msg, file=sys.stderr)) -> HuntOutcome:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(p, ln, text, config) for p, ln, text in iter_corpus(paths)]
     outcome = HuntOutcome()
 
@@ -262,12 +276,21 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
         return False
 
     # records arrive in task order for every jobs value, so a violation
-    # halts the hunt after the same records whatever the worker count
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    # halts the hunt after the same records whatever the worker count;
+    # no more workers start than there are chunks to send them
+    chunk = chunk_size(len(tasks), jobs)
+    workers = min(jobs, math.ceil(len(tasks) / chunk))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    received = 0
     try:
-        for rec in pool.map(hunt_graph, tasks) if pool else map(hunt_graph, tasks):
+        records = (pool.map(hunt_graph, tasks, chunksize=chunk) if pool
+                   else map(hunt_graph, tasks))
+        for rec in records:
+            received += 1
             if absorb(rec):
                 break
+    except BrokenProcessPool as exc:
+        raise WorkerCrashError(f"{tasks[received][0]}:{tasks[received][1]}") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

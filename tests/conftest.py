@@ -145,3 +145,34 @@ def multigraph_is_woody(n: int, colored_edges) -> bool:
 
 def random_coloring(g: Graph, palette: int, rng: random.Random):
     return [rng.randrange(palette) for _ in range(g.m)]
+
+
+# ---------------------------------------------------------------------------
+# a process pool stand-in that starts no process
+
+
+class FakePool:
+    """Records how the hunt sized its pool and runs the map in-process."""
+
+    def __init__(self, made: list, max_workers: int):
+        self.max_workers = max_workers
+        self.chunksize = None
+        made.append(self)
+
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def fake_pool(monkeypatch) -> list:
+    """Replace the hunt's ProcessPoolExecutor; returns the pools it made."""
+    import woody.harness
+
+    made: list = []
+    monkeypatch.setattr(woody.harness, "ProcessPoolExecutor",
+                        lambda max_workers: FakePool(made, max_workers))
+    return made

@@ -191,15 +191,60 @@ class TestHuntCommand:
 
     def test_config_budget_merge(self, tmp_path):
         conf = tmp_path / "conf"
-        conf.write_text("budget_nodes=12345\nbudget_secs=2.5\n")
+        conf.write_text("budget_nodes=12345\nbudget_secs=2.5\nseed=5\n")
         report = str(tmp_path / "r.jsonl")
         summary = str(tmp_path / "s.csv")
-        code = main([
-            "hunt", str(DATA / "planar_connected_n3.g6"),
-            "--config", str(conf),
-            "--report", report, "--summary", summary,
-        ])
-        assert code == 0
+        args = ["hunt", str(DATA / "planar_connected_n3.g6"),
+                "--config", str(conf), "--report", report, "--summary", summary]
+        assert main(args) == 0
+        assert "seed,5" in open(summary).read().splitlines()
+        assert main(args + ["--seed", "0"]) == 0
+        assert "seed,0" in open(summary).read().splitlines()
 
     def test_missing_file(self, tmp_path):
         assert main(["hunt", str(tmp_path / "nope.g6")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, fake_pool, jobs):
+        corpus = str(DATA / "planar_connected_n4.g6")
+        report = tmp_path / "r.jsonl"
+        assert main(["hunt", corpus, "--jobs", jobs, "--report", str(report)]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        conf = tmp_path / "conf"
+        conf.write_text(f"jobs={jobs}\n")
+        assert main(["hunt", corpus, "--config", str(conf),
+                     "--report", str(report)]) == 2
+        # the flag wins over the config file, also when it reads 0
+        conf.write_text("jobs=2\n")
+        assert main(["hunt", corpus, "--jobs", jobs, "--config", str(conf),
+                     "--report", str(report)]) == 2
+        assert fake_pool == []
+        assert not report.exists()
+
+    def test_worker_crash_exits_2_naming_the_graph(self, tmp_path, capsys, monkeypatch):
+        # workers inherit the patched parser only when forked
+        import multiprocessing
+        import os
+
+        import woody.harness as H
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs forked workers to see the patched parser")
+        corpus = DATA / "planar_connected_n6.g6"
+        doomed = corpus.read_text().splitlines()[6]
+        real_parse = H.parse_graph6
+
+        def parse(line):
+            if line == doomed:
+                os._exit(3)
+            return real_parse(line)
+
+        monkeypatch.setattr(H, "parse_graph6", parse)
+        report = tmp_path / "r.jsonl"
+        code = main(["hunt", str(corpus), "--jobs", "2", "--report", str(report),
+                     "--summary", str(tmp_path / "s.csv")])
+        assert code == 2
+        # line 7 sits in the first chunk, so line 1's record is the first missing
+        err = capsys.readouterr().err
+        assert f"before the record of {corpus}:1 arrived" in err
+        assert not report.exists()

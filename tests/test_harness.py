@@ -1,11 +1,15 @@
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from woody import complete_graph, cycle_graph, encode_graph6, parse_graph6
+from woody.errors import WorkerCrashError
 from woody.harness import (
+    MAX_CHUNK,
     HuntConfig,
+    chunk_size,
     conjecture_status,
     hunt_graph,
     iter_corpus,
@@ -294,27 +298,68 @@ class TestRunHunt:
         monkeypatch.setattr(H, "conjecture_bound", bound)
         monkeypatch.setattr(H, "reverify_violation", lambda rec, budget: True)
         paths = [str(DATA / "planar_connected_n7.g6")]
+        # line 300 falls inside a chunk for jobs 2 and 3
+        assert 300 % chunk_size(646, 2) and 300 % chunk_size(646, 3)
         outcomes = [run_hunt(paths, HuntConfig(conjectures=("twoarb",)), jobs=jobs)
-                    for jobs in (1, 2)]
+                    for jobs in (1, 2, 3)]
         assert len(outcomes[0].records) == 300
         assert [v["graph_id"] for v in outcomes[0].violations] == [paths[0] + ":300"]
-        assert outcomes[1].records == outcomes[0].records
-        assert outcomes[1].violations == outcomes[0].violations
-        assert outcomes[1].summary == outcomes[0].summary
+        for other in outcomes[1:]:
+            assert other.records == outcomes[0].records
+            assert other.violations == outcomes[0].violations
+            assert other.summary == outcomes[0].summary
 
     def test_jobs_do_not_change_report_bytes(self):
         config = HuntConfig(conjectures=("planar4", "twoarb", "col", "girth-eq"))
-        paths = [str(DATA / "planar_connected_n4.g6"),
-                 str(DATA / "planar_connected_n5.g6")]
+        # 99 + 646 + 338 graphs: chunks straddle both file boundaries
+        paths = [str(DATA / "planar_connected_n6.g6"),
+                 str(DATA / "planar_connected_n7.g6"),
+                 str(DATA / "triangle_free_planar_upto12.g6")]
         blobs = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
+            assert 99 % chunk_size(1083, jobs) and 745 % chunk_size(1083, jobs)
             outcome = run_hunt(paths, config, jobs=jobs)
             buf = io.StringIO()
             write_jsonl(outcome.records, buf)
             csvbuf = io.StringIO()
             write_summary_csv(outcome.summary, csvbuf)
             blobs.append((buf.getvalue(), csvbuf.getvalue()))
-        assert blobs[0] == blobs[1]
+        assert len(blobs[0][0].splitlines()) == 1083
+        assert blobs[1] == blobs[0]
+        assert blobs[2] == blobs[0]
+
+    def test_worker_crash_names_the_first_graph_without_a_record(
+            self, fake_pool, monkeypatch):
+        import woody.harness as H
+
+        # the stand-in pool runs in-process, so the break comes at a known record
+        corpus = DATA / "planar_connected_n6.g6"
+        doomed = corpus.read_text().splitlines()[39]
+        real_parse = H.parse_graph6
+
+        def parse(line):
+            if line == doomed:
+                raise BrokenProcessPool("a worker died")
+            return real_parse(line)
+
+        monkeypatch.setattr(H, "parse_graph6", parse)
+        with pytest.raises(WorkerCrashError) as info:
+            run_hunt([str(corpus)], DEFAULT, jobs=2)
+        assert info.value.graph_id == f"{corpus}:40"
+
+    def test_no_more_workers_than_chunks(self, fake_pool, tmp_path):
+        # an empty corpus or a single chunk runs in the calling process
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        assert run_hunt([str(empty)], DEFAULT, jobs=2).records == []
+        outcome = run_hunt([str(DATA / "planar_connected_n1.g6")], DEFAULT, jobs=4)
+        assert fake_pool == []
+        assert len(outcome.records) == 1
+        outcome = run_hunt([str(DATA / "planar_connected_n4.g6")], DEFAULT, jobs=8)
+        assert [(p.max_workers, p.chunksize) for p in fake_pool] == [(6, 1)]
+        assert len(outcome.records) == 6
+        run_hunt([str(DATA / "planar_connected_n7.g6")], DEFAULT, jobs=3)
+        assert (fake_pool[1].max_workers, fake_pool[1].chunksize) == (3, MAX_CHUNK)
 
 
 class TestSummary:
