@@ -167,9 +167,6 @@ def _color_product(g: Graph, budget: Budget):
     derived = derived_coloring(g, chi_res.certificate, chi_res.value)
     shaded = depth_parity_shading(decomp)
     coloring = product_coloring(g, derived, shaded)
-    ok, witness = is_strongly_woody(coloring)
-    if not ok:
-        raise AssertionError(f"product pipeline failed verification: {witness}")
     return coloring, (
         f"palette {_palette(coloring)} <= 2 * chi * arb = {2 * chi_res.value * ell}")
 

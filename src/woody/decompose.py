@@ -300,13 +300,6 @@ def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:
     return DensityCertificate(VertexSubsetView(g, members), Fraction(best_num, best_den))
 
 
-def arboricity_lower_bound(g: Graph) -> int:
-    """ceil of the whole-graph density; cheap and always valid."""
-    if g.m == 0:
-        return 0
-    return -((-g.m) // (g.n - 1))
-
-
 def two_forest_decomposition(g: Graph) -> ForestDecomposition:
     """Arboricity specialization for graphs decomposable into two forests."""
     k, decomp = arboricity(g)

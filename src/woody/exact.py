@@ -7,6 +7,10 @@ symmetry breaking (a new color index may be used only once all smaller
 indices appear) and incremental feasibility state undone on backtrack. Every
 certificate is re-verified before it is returned; budget exhaustion yields
 explicit bounds instead of a guess.
+
+ζ, χ, χ′ and the unpruned ζ oracle branch in one forward-checked,
+most-constrained-first search (_search_colors); each gives only its
+admissibility rule. χ_a and the partition search keep static orders.
 """
 
 from __future__ import annotations
@@ -203,6 +207,61 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
     return lb
 
 
+def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
+                   assign, leaf=None) -> list[int] | None:
+    """The forward-checked search behind ζ, χ, χ′ and the ζ oracle: one
+    coloring of the items with at most k colors, else None; with leaf, only
+    a coloring that passes leaf(colors) counts.
+
+    mask[e] holds the colors still admissible for the uncolored item e.
+    The search branches on the uncolored item with the fewest (Brélaz's
+    DSATUR rule: the one fresh color the canonical palette allows counts as
+    one, and ties go to the item that comes first in order). assign(e, c,
+    bit_c) is a generator that carries the admissibility rule: given
+    colors[e] = c, it clears bit_c from the masks of the uncolored items
+    the color excludes and yields them; resumed on backtrack, it undoes its
+    own state, and the masks are restored here. An assignment that leaves
+    some uncolored item with no admissible color is pruned at once, so
+    every item the search reaches has one.
+    """
+    m = len(colors)
+
+    def dfs(depth: int, used: int) -> bool:
+        if depth == m:
+            return leaf is None or leaf(colors)
+        # the fresh color `used` is in every mask while used < k (an item
+        # excludes only colors in use); the wipe-out check leaves no
+        # uncolored item at zero, so the first item with one color is the
+        # most constrained
+        low = (2 << used) - 1
+        best = count = m + 1
+        for f in order:
+            if colors[f] is None and (fc := (mask[f] & low).bit_count()) < count:
+                best, count = f, fc
+                if count == 1:
+                    break
+        cands = mask[best] & low
+        while cands:
+            bit_c = cands & -cands
+            cands ^= bit_c
+            c = bit_c.bit_length() - 1
+            ticker.tick()
+            colors[best] = c
+            used_after = used + (c == used)  # c <= used: the palette is canonical
+            for cleared in assign(best, c, bit_c):
+                # the wipe-out check: once all k colors are in use, an item
+                # whose mask emptied has no color left
+                if (used_after < k or all(map(mask.__getitem__, cleared))) \
+                        and dfs(depth + 1, used_after):
+                    return True
+                for f in cleared:
+                    mask[f] |= bit_c
+            colors[best] = None
+        return False
+
+    return list(colors) if dfs(0, 0) else None
+
+
 def _search_strongly_woody(g: Graph, k: int, order: list[int],
                            ticker: _Ticker) -> list[int] | None:
     """Find one strongly woody coloring with at most k colors, else None.
@@ -220,18 +279,11 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
     of x and y, c is inadmissible iff x in Y, nbr[X] & Y != bit(y) or
     adj(y) & X != bit(x).
 
-    Forward checking: each uncolored edge keeps a mask of the colors that
-    (i) and (ii) still allow. Components only grow along a path, and an
-    edge inside one, or not alone between two, stays so as they grow:
-    masks only lose bits along a path, so a pruned color stays pruned. A
-    union in class c moves no vertex outside the merged component, so only
-    the uncolored edges with an end in it are rechecked for c; the bits
-    cleared there are restored on rollback. The search branches on the
-    uncolored edge with the fewest admissible colors (Brélaz's DSATUR rule,
-    applied to edges: the one fresh color the canonical palette allows
-    counts as one, and ties go to the edge that comes first in order). An
-    assignment that leaves some uncolored edge with no admissible color is
-    pruned at once, so every edge the search reaches has one.
+    Forward checking in _search_colors: components only grow along a path,
+    and an edge inside one, or not alone between two, stays so as they
+    grow, so a pruned color stays pruned. A union in class c moves no
+    vertex outside the merged component, so only the uncolored edges with
+    an end in it are rechecked for c.
     """
     n, m = g.n, g.m
     colors: list[int | None] = [None] * m
@@ -241,70 +293,65 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
     for e, (u, v) in enumerate(g.edges):
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
-        incident[u].append((e, v))
-        incident[v].append((e, u))
+        incident[u].append((e, v, 1 << v))
+        incident[v].append((e, u, 1 << u))
     root = [list(range(n)) for _ in range(k)]
     member = [[1 << x for x in range(n)] for _ in range(k)]
     nbr = [list(adj_mask) for _ in range(k)]
 
-    def dfs(depth: int, used: int) -> bool:
-        if depth == m:
-            return True
-        # the fresh color `used` never had a union, so while used < k it is
-        # in every mask; the wipe-out check leaves no uncolored edge at zero,
-        # so the first edge with one color is the most constrained
-        low = (2 << used) - 1
-        best = count = m + 1
-        for f in order:
-            if colors[f] is None and (mask[f] & low).bit_count() < count:
-                best, count = f, (mask[f] & low).bit_count()
-                if count == 1:
-                    break
-        u, v = g.edges[best]
-        cands = mask[best] & low
-        while cands:
-            bit_c = cands & -cands
-            cands ^= bit_c
-            c = bit_c.bit_length() - 1
-            ticker.tick()
-            rt, mem, nb = root[c], member[c], nbr[c]
-            ru, rv = rt[u], rt[v]
-            mem_u, mem_v, nb_u = mem[ru], mem[rv], nb[ru]
-            merged = mem[ru] = mem_u | mem_v
-            merged_nbr = nb[ru] = nb_u | nb[rv]
-            colors[best] = c
-            used_after = max(used, c + 1)
-            cleared = []
-            rest = merged
-            while rest:
-                bit_x = rest & -rest
-                rest ^= bit_x
-                x = bit_x.bit_length() - 1
-                rt[x] = ru
-                for f, y in incident[x]:
-                    bit_y = 1 << y
-                    if colors[f] is None and mask[f] & bit_c and (
-                            merged & bit_y or merged_nbr & mem[rt[y]] != bit_y
-                            or adj_mask[y] & merged != bit_x):
-                        mask[f] ^= bit_c
-                        cleared.append(f)
-            # the wipe-out check: once all k colors are in use, an edge
-            # whose mask emptied has no color left
-            if (used_after < k or all(mask[f] for f in cleared)) \
-                    and dfs(depth + 1, used_after):
-                return True
-            for f in cleared:
-                mask[f] |= bit_c
-            colors[best] = None
-            mem[ru], nb[ru] = mem_u, nb_u
-            rest = mem_v
-            while rest:
-                bit_x = rest & -rest
-                rest ^= bit_x
-                rt[bit_x.bit_length() - 1] = rv
-        return False
+    edges = g.edges
 
-    return list(colors) if dfs(0, 0) else None  # type: ignore[arg-type]
+    def assign(e: int, c: int, bit_c: int):
+        u, v = edges[e]
+        rt, mem, nb = root[c], member[c], nbr[c]
+        ru, rv = rt[u], rt[v]
+        mem_u, mem_v, nb_u = mem[ru], mem[rv], nb[ru]
+        merged = mem[ru] = mem_u | mem_v
+        merged_nbr = nb[ru] = nb_u | nb[rv]
+        cleared = []
+        rest = merged
+        while rest:
+            bit_x = rest & -rest
+            rest ^= bit_x
+            x = bit_x.bit_length() - 1
+            rt[x] = ru
+            for f, y, bit_y in incident[x]:
+                if colors[f] is None and mask[f] & bit_c and (
+                        merged & bit_y or merged_nbr & mem[rt[y]] != bit_y
+                        or adj_mask[y] & merged != bit_x):
+                    mask[f] ^= bit_c
+                    cleared.append(f)
+        yield cleared
+        mem[ru], nb[ru] = mem_u, nb_u
+        rest = mem_v
+        while rest:
+            bit_x = rest & -rest
+            rest ^= bit_x
+            rt[bit_x.bit_length() - 1] = rv
+
+    return _search_colors(colors, mask, k, order, ticker, assign)
+
+
+def _search_proper(adj, k: int, order: list[int], ticker: _Ticker,
+                   leaf=None) -> list[int] | None:
+    """One proper coloring with at most k colors of the graph with
+    adjacency lists adj, else None; with leaf, only a coloring that passes
+    leaf(colors) counts. A color excludes itself from the neighbours.
+
+    A static order leaves the tree at the mercy of the labeling: on 60
+    seeded relabelings of the McGee graph, χ′ took 1,695 to 276,006 nodes
+    in a static edge order and 36 to 207 on this search.
+    """
+    colors: list[int | None] = [None] * len(adj)
+    mask = [(1 << k) - 1] * len(adj)
+
+    def assign(e: int, c: int, bit_c: int):
+        cleared = [f for f in adj[e] if colors[f] is None and mask[f] & bit_c]
+        for f in cleared:
+            mask[f] ^= bit_c
+        yield cleared
+
+    return _search_colors(colors, mask, k, order, ticker, assign, leaf)
 
 
 def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
@@ -338,7 +385,7 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
         g, budget, EdgeColoring,
         lambda: strong_arboricity_lower_bound(g, arb) if prune else 1,
         lambda k, ticker: _search_strongly_woody(g, k, order, ticker) if prune
-        else _search_proper_vertex([()] * g.m, k, order, ticker, leaf),
+        else _search_proper([()] * g.m, k, order, ticker, leaf),
         is_strongly_woody, fallback)
 
 
@@ -420,97 +467,18 @@ def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResu
         is_acyclic_vertex, lambda: (g.n, None))
 
 
-def _search_proper_vertex(adj, k: int, order: list[int], ticker: _Ticker,
-                          leaf=None) -> list[int] | None:
-    """One proper coloring of the graph with adjacency lists adj with at
-    most k colors, else None; with leaf, only a coloring that passes
-    leaf(colors) counts."""
-    n = len(adj)
-    colors: list[int | None] = [None] * n
-
-    def dfs(pos: int, used: int) -> bool:
-        if pos == n:
-            return leaf is None or leaf(colors)
-        v = order[pos]
-        forb = {colors[w] for w in adj[v] if colors[w] is not None}
-        limit = min(k - 1, used)
-        for c in range(limit + 1):
-            ticker.tick()
-            if c in forb:
-                continue
-            colors[v] = c
-            if dfs(pos + 1, max(used, c + 1)):
-                return True
-            colors[v] = None
-        return False
-
-    return list(colors) if dfs(0, 0) else None  # type: ignore[arg-type]
-
-
 def chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact chromatic number with a certifying proper coloring."""
     order = _vertex_order(g)
     return _deepen(
         g, budget, VertexColoring, lambda: max(1, max_clique_size(g)),
-        lambda k, ticker: _search_proper_vertex(g.adj, k, order, ticker),
+        lambda k, ticker: _search_proper(g.adj, k, order, ticker),
         lambda c: (is_proper_vertex(c), None), lambda: (g.n, None))
-
-
-def _search_proper_edge(line, k: int, order: list[int], ticker: _Ticker
-                        ) -> list[int] | None:
-    """One proper edge coloring with at most k colors, else None, where
-    line[e] lists the edges that share an end with e.
-
-    The forward-checked DSATUR search of _search_strongly_woody with rule
-    (i) alone: each uncolored edge keeps a mask of the colors its colored
-    neighbours leave it, branches go to the edge with the fewest (the one
-    fresh color counts as one, ties to the edge first in order), and an
-    assignment that empties a neighbour's mask is pruned. A static order
-    leaves the tree at the mercy of the labeling: on 60 seeded relabelings
-    of the McGee graph it took 1,695 to 276,006 nodes, this search 36 to 207.
-    """
-    m = len(line)
-    colors: list[int | None] = [None] * m
-    mask = [(1 << k) - 1] * m
-
-    def dfs(depth: int, used: int) -> bool:
-        if depth == m:
-            return True
-        low = (2 << used) - 1
-        best = count = m + 1
-        for f in order:
-            if colors[f] is None and (mask[f] & low).bit_count() < count:
-                best, count = f, (mask[f] & low).bit_count()
-                if count == 1:
-                    break
-        cands = mask[best] & low
-        while cands:
-            bit_c = cands & -cands
-            cands ^= bit_c
-            c = bit_c.bit_length() - 1
-            ticker.tick()
-            colors[best] = c
-            used_after = max(used, c + 1)
-            cleared = []
-            for f in line[best]:
-                if colors[f] is None and mask[f] & bit_c:
-                    mask[f] ^= bit_c
-                    cleared.append(f)
-            # the fresh color is in every mask until all k are in use
-            if (used_after < k or all(mask[f] for f in cleared)) \
-                    and dfs(depth + 1, used_after):
-                return True
-            for f in cleared:
-                mask[f] |= bit_c
-            colors[best] = None
-        return False
-
-    return list(colors) if dfs(0, 0) else None  # type: ignore[arg-type]
 
 
 def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact chromatic index: the chromatic number of the line graph, by
-    the forward-checked DSATUR search over the edges (_search_proper_edge).
+    the proper coloring search over the edges (_search_proper).
 
     Lower bound: maximum degree, sharpened by the matching capacity
     ceil(m / floor(n/2)).
@@ -521,7 +489,7 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
     return _deepen(
         g, budget, EdgeColoring,
         lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
-        lambda k, ticker: _search_proper_edge(line, k, order, ticker),
+        lambda k, ticker: _search_proper(line, k, order, ticker),
         lambda c: (is_proper_edge(c), None), lambda: (None, None))
 
 

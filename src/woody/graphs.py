@@ -57,9 +57,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def neighbor_set(self, v: int) -> frozenset:
         return self._nbr_sets[v]
 

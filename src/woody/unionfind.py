@@ -29,9 +29,6 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         return True
 
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
 
 class RollbackUnionFind:
     """Union-find whose unions can be undone in LIFO order.

@@ -125,6 +125,20 @@ class TestColorCommand:
         assert main(["color", gp, "--method", "square", "-o", str(tmp_path / "o")]) == 0
         assert calls == [10]
 
+    def test_product_verifies_once(self, tmp_path, monkeypatch):
+        # cmd_color re-verifies whatever coloring a method returns
+        calls = []
+        real = woody.cli.is_strongly_woody
+
+        def counted(coloring):
+            calls.append(coloring.colors)
+            return real(coloring)
+
+        monkeypatch.setattr(woody.cli, "is_strongly_woody", counted)
+        gp = write_graph(tmp_path, complete_graph(5))
+        assert main(["color", gp, "--method", "product", "-o", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
     def test_parity_precondition_failure(self, tmp_path, capsys):
         gp = write_graph(tmp_path, complete_graph(4))
         assert main(["color", gp, "--method", "parity"]) == 1

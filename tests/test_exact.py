@@ -20,6 +20,7 @@ from woody import (
     induces_forest,
     is_2_independent,
     is_acyclic_vertex,
+    is_proper_vertex,
     is_strongly_woody,
     max_clique_size,
     partition_coloring,
@@ -77,7 +78,7 @@ class TestStrongArboricity:
         def no_search(*args):
             raise AssertionError("the guard must act before the search")
 
-        monkeypatch.setattr(woody.exact, "_search_proper_vertex", no_search)
+        monkeypatch.setattr(woody.exact, "_search_proper", no_search)
         monkeypatch.setattr(woody.exact, "_search_strongly_woody", no_search)
         with pytest.raises(GuardError, match="m <= 10"):
             strong_arboricity_exact(complete_graph(6), prune=False)
@@ -118,6 +119,10 @@ class TestStrongArboricity:
         for name, total in (("connected_n6.g6", 1_109), ("connected_n7.g6", 13_330)):
             nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
+        # the oracle enumerates every canonical coloring in edge order
+        assert strong_arboricity_exact(complete_graph(4), prune=False).nodes == 248
+        assert strong_arboricity_exact(cycle_graph(5), prune=False).nodes == 14
+        assert strong_arboricity_exact(complete_bipartite(2, 3), prune=False).nodes == 23
 
     def test_edgeless_and_exhausted_results_are_pinned(self):
         # (value, lower, upper, exact, certificate colors) of all four solvers
@@ -320,6 +325,38 @@ class TestChromatic:
         assert chromatic_exact(cycle_graph(5)).value == 3
         assert chromatic_exact(cycle_graph(6)).value == 2
         assert chromatic_exact(petersen_graph()).value == 3
+
+    def test_matches_static_order_search(self, connected_n7):
+        # the proper coloring search in a fixed vertex order, which the
+        # forward-checked search replaced
+        def static_order_chi(g):
+            order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+            colors = [None] * g.n
+
+            def dfs(pos, used, k):
+                if pos == g.n:
+                    return True
+                v = order[pos]
+                forb = {colors[w] for w in g.adj[v]}
+                for c in range(min(k, used + 1)):
+                    if c not in forb:
+                        colors[v] = c
+                        if dfs(pos + 1, max(used, c + 1), k):
+                            return True
+                        colors[v] = None
+                return False
+
+            k = max(1, max_clique_size(g))
+            while not dfs(0, 0, k):
+                k += 1
+            return k
+
+        named = [petersen_graph(), mcgee_graph(), complete_bipartite(4, 5), complete_graph(7)]
+        for g in connected_n7 + named:
+            res = chromatic_exact(g)
+            assert res.value == static_order_chi(g), g.edges
+            assert is_proper_vertex(res.certificate)
+            assert res.certificate.palette_size == res.value
 
 
 class TestChromaticIndex:

@@ -1,0 +1,27 @@
+import io
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import woody
+
+MODULES = sorted(Path(woody.__file__).parent.glob("*.py"))
+
+
+def parser_tokens(path: Path) -> int:
+    """Tokens the CPython parser keeps: everything but comments and NL."""
+    with open(path, encoding="utf-8") as fh:
+        src = fh.read()
+    return sum(1 for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+               if tok.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_stays_below_the_parser_step(path):
+    # CPython 3.11's parser doubles its token array at 4,096 tokens:
+    # padding exact.py from 4,096 to 4,100 tokens raises its compile() peak
+    # from 1,467 to 1,691 KiB. A fresh checkout compiles every module from
+    # source, so the step shows in the benchmark's peak_rss_mb, whose bound
+    # is 0.1 MiB; split a module before it crosses.
+    assert parser_tokens(path) < 4096
