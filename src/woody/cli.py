@@ -186,6 +186,11 @@ _COLOR_METHODS = {
 
 
 def cmd_color(args) -> int:
+    # a config file sets the method after argparse has checked its choices
+    if args.method not in _COLOR_METHODS:
+        print(f"unknown method {args.method!r}; choose from {', '.join(_COLOR_METHODS)}",
+              file=sys.stderr)
+        return EXIT_PARSE
     g = load_graph_file(args.graph)
     budget = _budget_from_args(args)
     try:

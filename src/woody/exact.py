@@ -8,9 +8,9 @@ indices appear) and incremental feasibility state undone on backtrack. Every
 certificate is re-verified before it is returned; budget exhaustion yields
 explicit bounds instead of a guess.
 
-ζ, χ, χ′ and the unpruned ζ oracle branch in one forward-checked,
+ζ, χ_a, χ, χ′ and the unpruned ζ oracle branch in one forward-checked,
 most-constrained-first search (_search_colors); each gives only its
-admissibility rule. χ_a and the partition search keep static orders.
+admissibility rule.
 """
 
 from __future__ import annotations
@@ -209,9 +209,9 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
 
 def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
                    assign, leaf=None) -> list[int] | None:
-    """The forward-checked search behind ζ, χ, χ′ and the ζ oracle: one
-    coloring of the items with at most k colors, else None; with leaf, only
-    a coloring that passes leaf(colors) counts.
+    """The forward-checked search behind ζ, χ_a, χ, χ′ and the ζ oracle:
+    one coloring of the items with at most k colors, else None; with leaf,
+    only a coloring that passes leaf(colors) counts.
 
     mask[e] holds the colors still admissible for the uncolored item e.
     The search branches on the uncolored item with the fewest (Brélaz's
@@ -220,9 +220,11 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
     bit_c) is a generator that carries the admissibility rule: given
     colors[e] = c, it clears bit_c from the masks of the uncolored items
     the color excludes and yields them; resumed on backtrack, it undoes its
-    own state, and the masks are restored here. An assignment that leaves
-    some uncolored item with no admissible color is pruned at once, so
-    every item the search reaches has one.
+    own state, and the bit_c clears are restored here. A rule may also
+    exclude colors other than c (χ_a does); it restores those itself. An
+    assignment whose bit_c clears leave some uncolored item with no
+    admissible color is pruned at once; an item that another clear leaves
+    empty is refused when it is next picked, at no extra node.
     """
     m = len(colors)
 
@@ -230,9 +232,9 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
         if depth == m:
             return leaf is None or leaf(colors)
         # the fresh color `used` is in every mask while used < k (an item
-        # excludes only colors in use); the wipe-out check leaves no
-        # uncolored item at zero, so the first item with one color is the
-        # most constrained
+        # excludes only colors in use); past the wipe-out check an item is
+        # at zero only after another color's clear, and is refused when
+        # picked
         low = (2 << used) - 1
         best = count = m + 1
         for f in order:
@@ -393,66 +395,59 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
                     ) -> list[int] | None:
     """One acyclic proper vertex coloring with at most k colors, else None.
 
-    Giving color a to v is rejected if a neighbor already has a, or if two
-    neighbors share color b and sit in one component of the bicolored
-    (a, b) subgraph, which would close a two-colored cycle through v.
+    Color c is inadmissible for x when a neighbour of x has c, or when two
+    neighbours of x share a color b and lie in one component of the
+    bicolored (b, c) subgraph: coloring x with c would close a two-colored
+    cycle. Giving v color a changes only the (a, b) components through v,
+    so one bitset BFS over cls[a] | cls[b] per color b at v finds the new
+    one, and only the uncolored vertices next to it are rechecked: b is
+    cleared from x when x has two a-colored neighbours in it, a when x has
+    two b-colored ones. Components only grow along a path, so a pruned
+    color stays pruned. The b clears are undone here on resume.
     """
-    n = g.n
-    colors: list[int | None] = [None] * n
-    pair_ufs: dict[tuple[int, int], RollbackUnionFind] = {}
+    colors: list[int | None] = [None] * g.n
+    mask = [(1 << k) - 1] * g.n
+    adj = [sum(1 << w for w in nb) for nb in g.adj]
+    cls = [0] * k
 
-    def pair_uf(a: int, b: int) -> RollbackUnionFind:
-        key = (a, b) if a < b else (b, a)
-        uf = pair_ufs.get(key)
-        if uf is None:
-            uf = pair_ufs[key] = RollbackUnionFind(n)
-        return uf
-
-    def dfs(pos: int, used: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        nbr_cols: dict[int, list[int]] = {}
-        for w in g.adj[v]:
-            cw = colors[w]
-            if cw is not None:
-                nbr_cols.setdefault(cw, []).append(w)
-        limit = min(k - 1, used)
-        for a in range(limit + 1):
-            ticker.tick()
-            if a in nbr_cols:
+    def assign(v: int, a: int, bit_a: int):
+        cls[a] |= 1 << v
+        cleared = [w for w in g.adj[v] if colors[w] is None and mask[w] & bit_a]
+        for w in cleared:
+            mask[w] ^= bit_a
+        crossed = []
+        colored = sum(cls)  # the classes are disjoint
+        for b, in_b in enumerate(cls):
+            if not in_b & adj[v]:
                 continue
-            ok = True
-            for b, ws in nbr_cols.items():
-                if len(ws) < 2:
-                    continue
-                uf = pair_uf(a, b)
-                roots = set()
-                for w in ws:
-                    r = uf.find(w)
-                    if r in roots:
-                        ok = False
-                        break
-                    roots.add(r)
-                if not ok:
-                    break
-            if not ok:
-                continue
-            colors[v] = a
-            marks = []
-            for b, ws in nbr_cols.items():
-                uf = pair_uf(a, b)
-                marks.append((uf, uf.mark()))
-                for w in ws:
-                    uf.union(v, w)
-            if dfs(pos + 1, max(used, a + 1)):
-                return True
-            for uf, mk in reversed(marks):
-                uf.rollback(mk)
-            colors[v] = None
-        return False
+            bit_b = 1 << b
+            pair = cls[a] | in_b
+            comp = todo = 1 << v
+            near = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                nb = adj[low.bit_length() - 1]
+                near |= nb
+                todo |= nb & pair & ~comp
+                comp |= nb & pair
+            near &= ~colored
+            while near:
+                low = near & -near
+                near ^= low
+                x = low.bit_length() - 1
+                if mask[x] & bit_b and (adj[x] & comp & cls[a]).bit_count() > 1:
+                    mask[x] ^= bit_b
+                    crossed.append((x, bit_b))
+                if mask[x] & bit_a and (adj[x] & comp & in_b).bit_count() > 1:
+                    mask[x] ^= bit_a
+                    cleared.append(x)
+        yield cleared
+        for x, bit_b in crossed:
+            mask[x] |= bit_b
+        cls[a] ^= 1 << v
 
-    return list(colors) if dfs(0, 0) else None  # type: ignore[arg-type]
+    return _search_colors(colors, mask, k, order, ticker, assign)
 
 
 def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:

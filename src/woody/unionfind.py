@@ -1,5 +1,5 @@
 """Disjoint-set structures: a plain one for verification passes and a
-rollback variant for backtracking search."""
+rollback variant for the forest / 2-independent partition search."""
 
 
 class UnionFind:
@@ -35,7 +35,8 @@ class RollbackUnionFind:
 
     No path compression: finds must not mutate state, otherwise rollback
     would need a full journal. Union by size keeps trees O(log n) deep,
-    which is what the solver inner loops rely on.
+    which is what the forest / 2-independent partition search, its one
+    solver, relies on.
     """
 
     __slots__ = ("parent", "size", "trail")

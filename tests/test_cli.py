@@ -155,6 +155,15 @@ class TestColorCommand:
         out = str(tmp_path / "o")
         assert main(["color", gp, "--config", str(conf), "-o", out]) == 0
 
+    def test_unknown_method_from_config(self, tmp_path, capsys):
+        # argparse checks --method, not a method a config file sets
+        gp = write_graph(tmp_path, cycle_graph(5))
+        conf = tmp_path / "conf"
+        conf.write_text("method=bogus\n")
+        assert main(["color", gp, "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown method 'bogus'" in err and "acyclic, parity" in err
+
 
 class TestExactCommand:
     def test_strong_arb_k5(self, tmp_path, capsys):

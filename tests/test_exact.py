@@ -29,7 +29,8 @@ from woody import (
     strong_arboricity_exact,
     strong_arboricity_lower_bound,
 )
-from woody.graphs import Graph
+from woody.graphs import Graph, has_cycle
+from woody.unionfind import RollbackUnionFind
 
 from conftest import (
     complete_bipartite,
@@ -118,6 +119,14 @@ class TestStrongArboricity:
         assert strong_arboricity_exact(petersen_graph()).nodes == 423
         for name, total in (("connected_n6.g6", 1_109), ("connected_n7.g6", 13_330)):
             nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
+            assert nodes == total, name
+        # χ_a on the same search (most constrained vertex first)
+        assert acyclic_chromatic_exact(complete_bipartite(4, 5)).nodes == 30
+        assert acyclic_chromatic_exact(complete_bipartite(5, 5)).nodes == 45
+        assert acyclic_chromatic_exact(complete_graph(7)).nodes == 7
+        assert acyclic_chromatic_exact(petersen_graph()).nodes == 61
+        for name, total in (("connected_n6.g6", 816), ("connected_n7.g6", 7_977)):
+            nodes = sum(acyclic_chromatic_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
         # the oracle enumerates every canonical coloring in edge order
         assert strong_arboricity_exact(complete_graph(4), prune=False).nodes == 248
@@ -318,6 +327,58 @@ class TestAcyclicChromatic:
         assert not res.exact and res.value is None
         assert res.lower <= res.upper
 
+    def test_matches_static_order_search(self, connected_n7):
+        # the search in a fixed vertex order, with a rollback union-find per
+        # color pair, which the forward-checked search replaced
+        def static_order_chi_a(g):
+            order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+            colors = [None] * g.n
+
+            def dfs(pos, used, k, ufs):
+                if pos == g.n:
+                    return True
+                v = order[pos]
+                nbr_cols = {}
+                for w in g.adj[v]:
+                    if colors[w] is not None:
+                        nbr_cols.setdefault(colors[w], []).append(w)
+                for a in range(min(k, used + 1)):
+                    if a in nbr_cols or any(
+                            len({ufs[a, b].find(w) for w in ws}) < len(ws)
+                            for b, ws in nbr_cols.items()):
+                        continue
+                    colors[v] = a
+                    marks = []
+                    for b, ws in nbr_cols.items():
+                        marks.append((ufs[a, b], ufs[a, b].mark()))
+                        for w in ws:
+                            ufs[a, b].union(v, w)
+                    if dfs(pos + 1, max(used, a + 1), k, ufs):
+                        return True
+                    for uf, mk in reversed(marks):
+                        uf.rollback(mk)
+                    colors[v] = None
+                return False
+
+            k = max(1, max_clique_size(g), 3 if has_cycle(g) else 2 if g.m else 1)
+            while True:
+                # one union-find per unordered color pair
+                pairs = {}
+                for a in range(k):
+                    for b in range(a):
+                        pairs[a, b] = pairs[b, a] = RollbackUnionFind(g.n)
+                if dfs(0, 0, k, pairs):
+                    return k
+                k += 1
+
+        named = [petersen_graph(), mcgee_graph(), complete_bipartite(4, 5),
+                 complete_bipartite(5, 5), complete_graph(7)]
+        for g in connected_n7 + named:
+            res = acyclic_chromatic_exact(g)
+            assert res.value == static_order_chi_a(g), g.edges
+            assert is_acyclic_vertex(res.certificate)[0]
+            assert res.certificate.palette_size == res.value
+
 
 class TestChromatic:
     def test_values(self):
@@ -409,12 +470,17 @@ class TestChromaticIndex:
 
     def test_labeling_does_not_grow_the_tree(self):
         # under the static order, seeded relabelings of McGee took from
-        # 1,695 to 276,006 nodes; the dynamic order needs at most 207 on 60
-        rng = random.Random(7)
-        for _ in range(20):
-            g = relabeled(mcgee_graph(), rng)
-            res = chromatic_index_exact(g)
-            assert res.value == 3 and res.nodes <= 1000
+        # 1,695 to 276,006 χ′ nodes; the dynamic order needs at most 207 on
+        # 60. χ_a took up to 809 nodes on 20 relabelings of McGee and 1,098
+        # on K5,5, and now takes at most 46
+        for solve, base, value, bound in (
+                (chromatic_index_exact, mcgee_graph(), 3, 1000),
+                (acyclic_chromatic_exact, mcgee_graph(), 3, 200),
+                (acyclic_chromatic_exact, complete_bipartite(5, 5), 6, 200)):
+            rng = random.Random(7)
+            for _ in range(20):
+                res = solve(relabeled(base, rng))
+                assert res.value == value and res.nodes <= bound
 
 
 class TestPartitionSearch:
