@@ -5,135 +5,9 @@ An edge coloring is woody when every color class induces a forest, and
 strongly woody when additionally no broken cycle (a cycle minus one edge)
 is monochromatic; the strong arboricity of a graph is the least palette
 size of a strongly woody coloring.
+
+Every name is imported from its module (woody.graphs, woody.verify, ...);
+the package itself re-exports none.
 """
 
-from .decompose import (
-    DensityCertificate,
-    ForestDecomposition,
-    arboricity,
-    fractional_arboricity_bruteforce,
-    nash_williams_ceiling,
-    two_forest_decomposition,
-)
-from .construct import (
-    arboricity_square_coloring,
-    degeneracy_greedy_vertex_coloring,
-    depth_parity_shading,
-    derived_coloring,
-    partition_coloring,
-    product_coloring,
-    triangle_free_planar_coloring,
-)
-from .errors import GraphFormatError, GuardError, PreconditionError, WorkerCrashError
-from .exact import (
-    Budget,
-    PartitionSearchResult,
-    SolveResult,
-    acyclic_chromatic_exact,
-    adjacent_conflict_bound,
-    chromatic_exact,
-    chromatic_index_exact,
-    find_forest_2independent_partition,
-    max_clique_size,
-    strong_arboricity_exact,
-    strong_arboricity_lower_bound,
-)
-from .graphs import (
-    Graph,
-    VertexSubsetView,
-    complete_graph,
-    coloring_number,
-    connected_components,
-    cycle_graph,
-    encode_graph6,
-    euler_planar_sanity,
-    find_triangle,
-    format_edge_list,
-    girth,
-    has_cycle,
-    has_triangle,
-    induces_forest,
-    is_2_independent,
-    parse_edge_list,
-    parse_graph6,
-    path_graph,
-    star_graph,
-)
-from .verify import (
-    BicoloredCycleWitness,
-    BrokenCycleWitness,
-    EdgeColoring,
-    VertexColoring,
-    cycle_edge_ids,
-    enumerate_cycles,
-    is_acyclic_vertex,
-    is_p_woody,
-    is_proper_vertex,
-    is_strongly_woody,
-    is_strongly_woody_oracle,
-    is_woody,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Budget",
-    "BicoloredCycleWitness",
-    "BrokenCycleWitness",
-    "DensityCertificate",
-    "EdgeColoring",
-    "ForestDecomposition",
-    "Graph",
-    "GraphFormatError",
-    "GuardError",
-    "PartitionSearchResult",
-    "PreconditionError",
-    "SolveResult",
-    "VertexColoring",
-    "VertexSubsetView",
-    "WorkerCrashError",
-    "acyclic_chromatic_exact",
-    "adjacent_conflict_bound",
-    "arboricity",
-    "arboricity_square_coloring",
-    "chromatic_exact",
-    "chromatic_index_exact",
-    "coloring_number",
-    "complete_graph",
-    "connected_components",
-    "cycle_edge_ids",
-    "cycle_graph",
-    "degeneracy_greedy_vertex_coloring",
-    "depth_parity_shading",
-    "derived_coloring",
-    "encode_graph6",
-    "enumerate_cycles",
-    "euler_planar_sanity",
-    "find_forest_2independent_partition",
-    "find_triangle",
-    "format_edge_list",
-    "fractional_arboricity_bruteforce",
-    "girth",
-    "has_cycle",
-    "has_triangle",
-    "induces_forest",
-    "is_2_independent",
-    "is_acyclic_vertex",
-    "is_p_woody",
-    "is_proper_vertex",
-    "is_strongly_woody",
-    "is_strongly_woody_oracle",
-    "is_woody",
-    "max_clique_size",
-    "nash_williams_ceiling",
-    "parse_edge_list",
-    "parse_graph6",
-    "partition_coloring",
-    "path_graph",
-    "product_coloring",
-    "star_graph",
-    "strong_arboricity_exact",
-    "strong_arboricity_lower_bound",
-    "triangle_free_planar_coloring",
-    "two_forest_decomposition",
-]

@@ -104,6 +104,10 @@ def write_coloring_file(path: str, coloring) -> None:
 def _budget_from_args(args) -> Budget:
     nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_BUDGET_NODES
     secs = args.budget_secs if args.budget_secs is not None else DEFAULT_BUDGET_SECONDS
+    if nodes < 1:
+        raise ValueError(f"budget nodes must be at least 1, got {nodes}")
+    if not secs > 0:  # also false for nan, which would never run out
+        raise ValueError(f"budget seconds must be positive, got {secs}")
     return Budget(nodes, secs)
 
 
@@ -135,12 +139,20 @@ def _palette(coloring) -> int:
     return coloring.normalized().palette_size
 
 
+def _verified(coloring: EdgeColoring) -> EdgeColoring:
+    """Check a coloring that no construct pipeline has verified."""
+    ok, witness = is_strongly_woody(coloring)
+    if not ok:
+        raise AssertionError(f"emitted coloring failed re-verification: {witness}")
+    return coloring
+
+
 def _color_acyclic(g: Graph, budget: Budget):
     res = acyclic_chromatic_exact(g, budget)
     if not res.exact:
         raise PreconditionError(
             f"acyclic chromatic solve inexact (bounds {res.lower}..{res.upper})")
-    coloring = derived_coloring(g, res.certificate, res.value)
+    coloring = _verified(derived_coloring(g, res.certificate, res.value))
     return coloring, f"palette {_palette(coloring)} <= acyclic chromatic number {res.value}"
 
 
@@ -166,7 +178,7 @@ def _color_product(g: Graph, budget: Budget):
     ell, decomp = arboricity(g)
     derived = derived_coloring(g, chi_res.certificate, chi_res.value)
     shaded = depth_parity_shading(decomp)
-    coloring = product_coloring(g, derived, shaded)
+    coloring = _verified(product_coloring(g, derived, shaded))
     return coloring, (
         f"palette {_palette(coloring)} <= 2 * chi * arb = {2 * chi_res.value * ell}")
 
@@ -202,9 +214,6 @@ def cmd_color(args) -> int:
             payload = cert.to_json() if hasattr(cert, "to_json") else cert
             print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr)
         return EXIT_INVALID
-    ok, witness = is_strongly_woody(coloring)
-    if not ok:
-        raise AssertionError(f"emitted coloring failed re-verification: {witness}")
     out = args.output or (args.graph + ".coloring")
     write_coloring_file(out, coloring)
     print(f"wrote {out}: {summary}")

@@ -175,9 +175,6 @@ def partition_coloring(g: Graph, a, f) -> EdgeColoring:
         raise PreconditionError("f does not induce a forest")
     if not is_2_independent(g, a_set):
         raise PreconditionError("a is not 2-independent")
-    for u, v in g.edges:
-        if u in a_set and v in a_set:
-            raise PreconditionError(f"edge ({u}, {v}) lies inside a")
     if girth(g) < 4:
         raise PreconditionError("girth below 4")
     colors = []

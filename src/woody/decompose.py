@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, PreconditionError
-from .graphs import Graph, VertexSubsetView
-from .unionfind import UnionFind
+from .graphs import Graph, UnionFind, VertexSubsetView
 
 DENSITY_MAX_VERTICES = 24
 

@@ -22,7 +22,6 @@ from .construct import arboricity_square_coloring
 from .decompose import arboricity
 from .errors import GuardError
 from .graphs import Graph, connected_components, girth, has_cycle, has_triangle
-from .unionfind import RollbackUnionFind
 from .verify import (
     EdgeColoring,
     VertexColoring,
@@ -510,61 +509,54 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
 
     The returned partition satisfies every precondition of
     partition_coloring, so girth below 4 is an immediate exact NotFound.
-    Exhaustive DFS in BFS vertex order, pruning 2-independence as A grows
-    and forest-ness of F via rollback union-find.
+    Exhaustive DFS in BFS vertex order, A tried before F, with A and F as
+    vertex bitsets: v may join A iff no vertex within distance 2 of v is in
+    A, and F iff one BFS inside F from each F-neighbour of v meets no other.
     """
     t0 = time.monotonic()
     ticker = _Ticker(budget, t0)
     n = g.n
-    if girth(g) < 4:
-        return PartitionSearchResult(False, None, None, True, 0, time.monotonic() - t0)
-    # each component in BFS order from its lowest vertex
-    order = [v for comp in connected_components(g) for v in comp]
-    dist2: list[tuple[int, ...]] = []
-    for v in range(n):
-        near = set()
-        for w in g.adj[v]:
-            near.add(w)
-            near.update(g.adj[w])
-        near.discard(v)
-        dist2.append(tuple(sorted(near)))
-    in_a = bytearray(n)
-    in_f = bytearray(n)
-    uf = RollbackUnionFind(n)
+    found, exact = None, True
+    if girth(g) >= 4:
+        # each component in BFS order from its lowest vertex
+        order = [v for comp in connected_components(g) for v in comp]
+        adj = [sum(1 << w for w in nb) for nb in g.adj]
+        near = [0] * n  # the vertices at distance 1 or 2
+        for v, nb in enumerate(g.adj):
+            for w in nb:
+                near[v] |= adj[w] | 1 << w
+            near[v] &= ~(1 << v)
 
-    def dfs(pos: int) -> bool:
-        ticker.tick()
-        if pos == n:
-            return True
-        v = order[pos]
-        if not any(in_a[w] for w in dist2[v]):
-            in_a[v] = 1
-            if dfs(pos + 1):
-                return True
-            in_a[v] = 0
-        mk = uf.mark()
-        ok = True
-        for w in g.adj[v]:
-            if in_f[w] and not uf.union(v, w):
-                ok = False
-                break
-        if ok:
-            in_f[v] = 1
-            if dfs(pos + 1):
-                return True
-            in_f[v] = 0
-        uf.rollback(mk)
-        return False
+        def dfs(pos: int, a: int, f: int) -> int | None:
+            ticker.tick()
+            if pos == n:
+                return a
+            v = order[pos]
+            if not near[v] & a:
+                leaf = dfs(pos + 1, a | 1 << v, f)
+                if leaf is not None:
+                    return leaf
+            rest = f_nbrs = adj[v] & f
+            while rest:
+                start = tree = todo = rest & -rest
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    grow = adj[low.bit_length() - 1] & f & ~tree
+                    tree |= grow
+                    todo |= grow
+                if tree & f_nbrs != start:
+                    return None
+                rest ^= start
+            return dfs(pos + 1, a, f | 1 << v)
 
-    try:
-        found = dfs(0)
-    except _BudgetExhausted:
-        return PartitionSearchResult(False, None, None, False, ticker.nodes,
-                                     time.monotonic() - t0)
-    if not found:
-        return PartitionSearchResult(False, None, None, True, ticker.nodes,
-                                     time.monotonic() - t0)
-    a = frozenset(v for v in range(n) if in_a[v])
-    f = frozenset(v for v in range(n) if in_f[v])
-    return PartitionSearchResult(True, a, f, True, ticker.nodes,
+        try:
+            found = dfs(0, 0, 0)
+        except _BudgetExhausted:
+            exact = False
+    a = f = None
+    if found is not None:
+        a = frozenset(v for v in range(n) if found >> v & 1)
+        f = frozenset(range(n)) - a
+    return PartitionSearchResult(found is not None, a, f, exact, ticker.nodes,
                                  time.monotonic() - t0)

@@ -1,4 +1,5 @@
-"""Graph data model, graph6/edge-list codecs, and basic structural parameters.
+"""Graph data model, graph6/edge-list codecs, basic structural parameters
+and the package's one union-find.
 
 Vertices are dense integers 0..n-1 and edges carry stable integer indices,
 so colorings and decompositions elsewhere in the package are plain arrays.
@@ -11,7 +12,6 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
-from .unionfind import UnionFind
 
 
 class Graph:
@@ -288,6 +288,34 @@ def subset_bfs(nbrs: dict[int, list[tuple[int, int]]], src: int,
                     return tree
                 q.append(w)
     return tree
+
+
+class UnionFind:
+    """Union-find with path halving and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False iff they were already together."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
 
 
 def has_cycle(g: Graph) -> bool:

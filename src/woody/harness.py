@@ -224,12 +224,8 @@ def reverify_violation(record: dict, budget: Budget | None = None) -> bool:
     if not decomp.is_valid():
         return False
     col_upper = replay_coloring_number(g, witness["col_order"])
-    bounds = {
-        "planar4": 4,
-        "twoarb": 2 * decomp.num_forests,
-        "col": col_upper,
-    }
-    worst = max(bounds[name] for name in witness["conjectures"])
+    replayed = {"arb": decomp.num_forests, "col": col_upper}
+    worst = max(conjecture_bound(name, replayed) for name in witness["conjectures"])
     if budget is None:
         budget = Budget(DEFAULT_BUDGET_NODES, DEFAULT_BUDGET_SECONDS)
     res = strong_arboricity_exact(g, budget)

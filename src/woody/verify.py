@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import GuardError
-from .graphs import Graph, subset_adjacency, subset_bfs
-from .unionfind import UnionFind
+from .graphs import Graph, UnionFind, subset_adjacency, subset_bfs
 
 ORACLE_MAX_VERTICES = 10
 

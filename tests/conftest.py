@@ -3,8 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from woody import Graph, parse_graph6
-from woody.unionfind import UnionFind
+from woody.graphs import Graph, UnionFind, parse_graph6
 
 DATA = Path(__file__).parent / "data"
 

@@ -11,29 +11,34 @@ import time
 
 import pytest
 
-from woody import (
-    Budget,
-    EdgeColoring,
-    acyclic_chromatic_exact,
-    arboricity,
+from woody.construct import (
     arboricity_square_coloring,
-    chromatic_index_exact,
-    complete_graph,
-    cycle_graph,
     degeneracy_greedy_vertex_coloring,
     derived_coloring,
-    find_forest_2independent_partition,
-    fractional_arboricity_bruteforce,
-    has_triangle,
-    is_strongly_woody,
-    is_strongly_woody_oracle,
     partition_coloring,
-    parse_graph6,
-    strong_arboricity_exact,
     triangle_free_planar_coloring,
 )
-from woody.graphs import Graph
+from woody.decompose import arboricity, fractional_arboricity_bruteforce
+from woody.exact import (
+    Budget,
+    acyclic_chromatic_exact,
+    chromatic_index_exact,
+    find_forest_2independent_partition,
+    strong_arboricity_exact,
+)
+from woody.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    has_triangle,
+    parse_graph6,
+)
 from woody.harness import HuntConfig, run_hunt
+from woody.verify import (
+    EdgeColoring,
+    is_strongly_woody,
+    is_strongly_woody_oracle,
+)
 
 from conftest import (
     DATA,

@@ -1,27 +1,44 @@
 import json
+import re
 
 import pytest
 
 import woody.cli
 import woody.construct
-from woody import (
-    EdgeColoring,
+from woody.cli import main
+from woody.graphs import (
     complete_graph,
     cycle_graph,
     encode_graph6,
     format_edge_list,
-    is_strongly_woody,
     parse_graph6,
 )
-from woody.cli import main
+from woody.verify import EdgeColoring, is_strongly_woody
 
-from conftest import DATA
+from conftest import DATA, grid_graph
+
+README = DATA.parent.parent / "README.md"
+
+# (config key, value): node budgets below 1 and seconds that are not > 0
+BAD_BUDGETS = [("budget_nodes", "-3"), ("budget_nodes", "0"),
+               ("budget_secs", "-1"), ("budget_secs", "0"), ("budget_secs", "nan")]
 
 
 def write_graph(tmp_path, g, name="g.g6"):
     p = tmp_path / name
     p.write_text(encode_graph6(g) + "\n")
     return str(p)
+
+
+def assert_budget_rejected(args, tmp_path, capsys, key, value):
+    """The command exits 2 naming the budget, with the value given as a
+    flag and then in a config file."""
+    assert main(args + ["--" + key.replace("_", "-"), value]) == 2
+    assert "budget" in capsys.readouterr().err
+    conf = tmp_path / "conf"
+    conf.write_text(f"{key}={value}\n")
+    assert main(args + ["--config", str(conf)]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def write_coloring(tmp_path, colors, name="c.txt"):
@@ -125,8 +142,18 @@ class TestColorCommand:
         assert main(["color", gp, "--method", "square", "-o", str(tmp_path / "o")]) == 0
         assert calls == [10]
 
-    def test_product_verifies_once(self, tmp_path, monkeypatch):
-        # cmd_color re-verifies whatever coloring a method returns
+    @pytest.mark.parametrize("method,graph", [
+        pytest.param("acyclic", complete_graph(5), id="acyclic-K5"),
+        pytest.param("parity", cycle_graph(13), id="parity-C13"),
+        pytest.param("partition", cycle_graph(13), id="partition-C13"),
+        pytest.param("product", complete_graph(5), id="product-K5"),
+        pytest.param("square", cycle_graph(13), id="square-C13"),
+        pytest.param("square", complete_graph(5), id="square-K5"),
+        pytest.param("square", grid_graph(4, 4), id="square-grid4x4"),
+    ])
+    def test_each_method_verifies_once(self, tmp_path, monkeypatch, method, graph):
+        # the construct pipelines verify their own output; the CLI checks
+        # only what no pipeline has (acyclic's derived coloring, product)
         calls = []
         real = woody.cli.is_strongly_woody
 
@@ -134,9 +161,10 @@ class TestColorCommand:
             calls.append(coloring.colors)
             return real(coloring)
 
-        monkeypatch.setattr(woody.cli, "is_strongly_woody", counted)
-        gp = write_graph(tmp_path, complete_graph(5))
-        assert main(["color", gp, "--method", "product", "-o", str(tmp_path / "o")]) == 0
+        for module in (woody.cli, woody.construct):
+            monkeypatch.setattr(module, "is_strongly_woody", counted)
+        gp = write_graph(tmp_path, graph)
+        assert main(["color", gp, "--method", method, "-o", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
     def test_parity_precondition_failure(self, tmp_path, capsys):
@@ -187,6 +215,23 @@ class TestExactCommand:
         assert code == 4
         assert "inexact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key,value", BAD_BUDGETS)
+    def test_bad_budget_rejected(self, tmp_path, capsys, key, value):
+        gp = write_graph(tmp_path, complete_graph(6))
+        args = ["exact", gp, "--param", "strong-arb", "-o", str(tmp_path / "o")]
+        assert_budget_rejected(args, tmp_path, capsys, key, value)
+
+    def test_readme_example_session(self, tmp_path, capsys):
+        # the README's example prints what the CLI prints, up to the timing
+        text = README.read_text()
+        g6 = re.search(r"printf '(\S+)\\n' > g\.g6", text).group(1)
+        line = next(ln for ln in text.splitlines() if ln.startswith("strong-arb = "))
+        gp = tmp_path / "g.g6"
+        gp.write_text(g6 + "\n")
+        assert main(["exact", str(gp), "--param", "strong-arb"]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert printed.split(",")[0] == line.split(",")[0]
+
 
 class TestHuntCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -223,6 +268,13 @@ class TestHuntCommand:
         assert "seed,5" in open(summary).read().splitlines()
         assert main(args + ["--seed", "0"]) == 0
         assert "seed,0" in open(summary).read().splitlines()
+
+    @pytest.mark.parametrize("key,value", BAD_BUDGETS)
+    def test_bad_budget_rejected(self, tmp_path, capsys, key, value):
+        args = ["hunt", str(DATA / "planar_connected_n4.g6"),
+                "--report", str(tmp_path / "r.jsonl"), "--summary", str(tmp_path / "s.csv")]
+        assert_budget_rejected(args, tmp_path, capsys, key, value)
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["hunt", str(tmp_path / "nope.g6")]) == 2

@@ -2,31 +2,36 @@ import random
 
 import pytest
 
-from woody import (
-    EdgeColoring,
-    PreconditionError,
-    VertexColoring,
-    acyclic_chromatic_exact,
-    arboricity,
+from woody.construct import (
     arboricity_square_coloring,
-    chromatic_exact,
     degeneracy_greedy_vertex_coloring,
     depth_parity_shading,
     derived_coloring,
+    partition_coloring,
+    product_coloring,
+    triangle_free_planar_coloring,
+)
+from woody.decompose import (
+    ForestDecomposition,
+    arboricity,
+    two_forest_decomposition,
+)
+from woody.errors import PreconditionError
+from woody.exact import acyclic_chromatic_exact, chromatic_exact
+from woody.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     has_triangle,
+    path_graph,
+    star_graph,
+)
+from woody.verify import (
+    EdgeColoring,
+    VertexColoring,
     is_proper_vertex,
     is_strongly_woody,
-    partition_coloring,
-    path_graph,
-    product_coloring,
-    star_graph,
-    triangle_free_planar_coloring,
-    two_forest_decomposition,
 )
-from woody.decompose import ForestDecomposition
-from woody.graphs import Graph
 
 from conftest import corpus_graphs, cube_graph, grid_graph
 
@@ -164,7 +169,7 @@ class TestDegeneracyGreedy:
         assert degeneracy_greedy_vertex_coloring(cycle_graph(5)).palette_size <= 3
 
     def test_always_proper_within_coloring_number(self, connected_n6):
-        from woody import coloring_number
+        from woody.graphs import coloring_number
 
         for g in connected_n6[::4]:
             f = degeneracy_greedy_vertex_coloring(g)
@@ -232,3 +237,5 @@ class TestPartitionColoring:
             partition_coloring(g, set(), set(range(6)))
         with pytest.raises(PreconditionError, match="2-independent"):
             partition_coloring(g, {0, 2}, {1, 3, 4, 5})
+        with pytest.raises(PreconditionError, match="2-independent"):
+            partition_coloring(g, {0, 1}, {2, 3, 4, 5})

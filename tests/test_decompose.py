@@ -7,22 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woody import (
+from woody.decompose import (
     ForestDecomposition,
-    GuardError,
-    PreconditionError,
+    _Partitioner,
     arboricity,
-    complete_graph,
-    cycle_graph,
     fractional_arboricity_bruteforce,
     nash_williams_ceiling,
-    path_graph,
-    star_graph,
     two_forest_decomposition,
 )
-from woody.decompose import _Partitioner
-from woody.graphs import Graph, subset_bfs
-from woody.unionfind import UnionFind
+from woody.errors import GuardError, PreconditionError
+from woody.graphs import (
+    Graph,
+    UnionFind,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    subset_bfs,
+)
 
 from conftest import connected_upto, corpus_graphs, grid_graph, relabeled
 

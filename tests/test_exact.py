@@ -4,33 +4,37 @@ import time
 import pytest
 
 import woody.exact
-from woody import (
+from woody.construct import partition_coloring
+from woody.decompose import arboricity
+from woody.errors import GuardError
+from woody.exact import (
     Budget,
-    EdgeColoring,
-    GuardError,
-    VertexColoring,
     acyclic_chromatic_exact,
     adjacent_conflict_bound,
-    arboricity,
     chromatic_exact,
     chromatic_index_exact,
-    complete_graph,
-    cycle_graph,
     find_forest_2independent_partition,
-    induces_forest,
-    is_2_independent,
-    is_acyclic_vertex,
-    is_proper_vertex,
-    is_strongly_woody,
     max_clique_size,
-    partition_coloring,
-    path_graph,
-    star_graph,
     strong_arboricity_exact,
     strong_arboricity_lower_bound,
 )
-from woody.graphs import Graph, has_cycle
-from woody.unionfind import RollbackUnionFind
+from woody.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    has_cycle,
+    induces_forest,
+    is_2_independent,
+    path_graph,
+    star_graph,
+)
+from woody.verify import (
+    EdgeColoring,
+    VertexColoring,
+    is_acyclic_vertex,
+    is_proper_vertex,
+    is_strongly_woody,
+)
 
 from conftest import (
     complete_bipartite,
@@ -306,6 +310,53 @@ class TestLowerBounds:
         t0 = time.perf_counter()
         assert adjacent_conflict_bound(g) == 3
         assert time.perf_counter() - t0 < 1.0
+
+
+# the rollback union-find the static-order χ_a reference below relies on
+class RollbackUnionFind:
+    """Union-find whose unions can be undone in LIFO order.
+
+    No path compression: finds must not mutate state, otherwise rollback
+    would need a full journal. Union by size keeps trees O(log n) deep,
+    which is what the forest / 2-independent partition search, its one
+    solver, relies on.
+    """
+
+    __slots__ = ("parent", "size", "trail")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.trail: list[int] = []
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.trail.append(rb)
+        return True
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        trail = self.trail
+        parent = self.parent
+        size = self.size
+        while len(trail) > mark:
+            rb = trail.pop()
+            size[parent[rb]] -= size[rb]
+            parent[rb] = rb
 
 
 class TestAcyclicChromatic:

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woody import (
+from woody.errors import GraphFormatError
+from woody.graphs import (
     Graph,
-    GraphFormatError,
     VertexSubsetView,
     coloring_number,
     complete_graph,
     cycle_graph,
     encode_graph6,
-    enumerate_cycles,
     euler_planar_sanity,
     find_triangle,
     girth,
@@ -24,8 +23,10 @@ from woody import (
     parse_graph6,
     path_graph,
     star_graph,
+    subset_adjacency,
+    subset_bfs,
 )
-from woody.graphs import subset_adjacency, subset_bfs
+from woody.verify import enumerate_cycles
 
 from conftest import corpus_lines, corpus_graphs, petersen_graph
 
@@ -183,7 +184,7 @@ class TestGirth:
             assert girth(g) == expected
 
     def test_forest_iff_infinite(self, connected_n6):
-        from woody import connected_components, has_cycle
+        from woody.graphs import connected_components, has_cycle
 
         for g in connected_n6:
             assert (girth(g) == math.inf) == (g.m <= g.n - 1)

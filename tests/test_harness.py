@@ -4,8 +4,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from woody import complete_graph, cycle_graph, encode_graph6, parse_graph6
 from woody.errors import WorkerCrashError
+from woody.graphs import (
+    complete_graph,
+    cycle_graph,
+    encode_graph6,
+    parse_graph6,
+)
 from woody.harness import (
     MAX_CHUNK,
     HuntConfig,
@@ -69,7 +74,7 @@ class TestHuntGraph:
         assert "timing_ms" not in rec
 
     def test_forest_girth_serialized_as_null(self):
-        from woody import star_graph
+        from woody.graphs import star_graph
 
         rec = hunt_graph(make_task(encode_graph6(star_graph(4)), DEFAULT))
         assert rec["girth"] is None
@@ -105,7 +110,8 @@ class TestReplayAndReverify:
         # Certificates are edge-indexed, so they must be computed against
         # the graph as parsed from the record's own graph6 string.
         g = parse_graph6(encode_graph6(complete_graph(5)))
-        from woody import arboricity, coloring_number
+        from woody.decompose import arboricity
+        from woody.graphs import coloring_number
 
         k, decomp = arboricity(g)
         col, order = coloring_number(g)
@@ -123,7 +129,8 @@ class TestReplayAndReverify:
 
     def test_reverify_rejects_false_claim(self):
         g = cycle_graph(5)  # zeta 2, nothing exceeds planar4
-        from woody import arboricity, coloring_number
+        from woody.decompose import arboricity
+        from woody.graphs import coloring_number
 
         k, decomp = arboricity(g)
         col, order = coloring_number(g)
@@ -218,7 +225,7 @@ class TestRunHunt:
         assert len(outcome.records) == 1
         assert len(outcome.parse_errors) == 1
         assert logged
-        from woody import GraphFormatError
+        from woody.errors import GraphFormatError
 
         with pytest.raises(GraphFormatError):
             run_hunt([str(f)],
@@ -246,7 +253,7 @@ class TestRunHunt:
         assert rec["witness"]["conjectures"] == ["twoarb"]
         # the attached certificates replay against the graph in the record
         g = parse_graph6(rec["graph6"])
-        from woody import ForestDecomposition
+        from woody.decompose import ForestDecomposition
 
         d = ForestDecomposition(g, tuple(rec["witness"]["arb_assignment"]),
                                 rec["witness"]["num_forests"])
@@ -259,7 +266,7 @@ class TestRunHunt:
         import dataclasses
 
         import woody.harness as H
-        from woody import Budget
+        from woody.exact import Budget
 
         monkeypatch.setattr(H, "conjecture_bound", lambda name, record: 0)
         budgets = []

@@ -6,31 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woody import (
-    EdgeColoring,
-    GuardError,
-    VertexColoring,
+from woody.construct import arboricity_square_coloring
+from woody.errors import GuardError
+from woody.exact import strong_arboricity_exact
+from woody.graphs import (
+    Graph,
+    UnionFind,
     complete_graph,
     cycle_graph,
+    path_graph,
+    star_graph,
+)
+from woody.verify import (
+    BicoloredCycleWitness,
+    BrokenCycleWitness,
+    EdgeColoring,
+    VertexColoring,
+    _class_path,
     enumerate_cycles,
     is_acyclic_vertex,
     is_p_woody,
+    is_proper_edge,
     is_proper_vertex,
     is_strongly_woody,
     is_strongly_woody_oracle,
     is_woody,
-    path_graph,
-    star_graph,
-    strong_arboricity_exact,
-)
-from woody.construct import arboricity_square_coloring
-from woody.graphs import Graph
-from woody.unionfind import UnionFind
-from woody.verify import (
-    BicoloredCycleWitness,
-    BrokenCycleWitness,
-    _class_path,
-    is_proper_edge,
 )
 
 from conftest import (
