@@ -104,11 +104,7 @@ def write_coloring_file(path: str, coloring) -> None:
 def _budget_from_args(args) -> Budget:
     nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_BUDGET_NODES
     secs = args.budget_secs if args.budget_secs is not None else DEFAULT_BUDGET_SECONDS
-    if nodes < 1:
-        raise ValueError(f"budget nodes must be at least 1, got {nodes}")
-    if not secs > 0:  # also false for nan, which would never run out
-        raise ValueError(f"budget seconds must be positive, got {secs}")
-    return Budget(nodes, secs)
+    return Budget(nodes, secs)  # refuses nodes < 1 and seconds <= 0 or nan
 
 
 def cmd_verify(args) -> int:

@@ -1,10 +1,11 @@
-"""Exact arboricity via matroid-partition augmentation, plus the
-brute-force density maximization that serves as its independent oracle.
+"""Exact arboricity, seeded from the degeneracy order and finished by
+matroid-partition augmentation, plus the brute-force density maximization
+that serves as its independent oracle.
 
 The two routes are kept deliberately separate: arboricity() builds a
-certifying forest decomposition by exchange-path search (Edmonds'
-matroid partition, on forests kept rooted so that a connectivity test is
-a label comparison and a cycle is a climb along parent edges), while
+certifying forest decomposition (a smallest-last seed, then Edmonds' exchange
+search on forests kept rooted so that a connectivity test is a label
+comparison and a cycle is a climb along parent edges), while
 fractional_arboricity_bruteforce() maximizes |E(H)|/(|V(H)|-1) over all
 induced subgraphs with exact rational arithmetic. Their agreement
 (min forests = ceiling of max density) is asserted across the test corpus.
@@ -12,12 +13,12 @@ induced subgraphs with exact rational arithmetic. Their agreement
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, PreconditionError
-from .graphs import Graph, UnionFind, VertexSubsetView
+from .graphs import Graph, UnionFind, VertexSubsetView, coloring_number
 
 DENSITY_MAX_VERTICES = 24
 
@@ -249,22 +250,52 @@ class _Partitioner:
 def arboricity(g: Graph) -> tuple[int, ForestDecomposition]:
     """Minimum number of forests partitioning the edges, with a certificate.
 
-    Starts at the density lower bound ceil(m/(n-1)) and runs matroid
-    partition augmentation; a failed exchange search proves the current k
-    infeasible, so k is incremented and the search resumes.
+    Seed (Matula & Beck): in the coloring_number order every edge is owned
+    by its later end, and its slot is its rank among its owner's edges in
+    index order. Each slot class is a forest, since a vertex owns at most
+    one edge per slot and it points to an earlier vertex, so a cycle's
+    latest vertex would own two. The slots number the degeneracy d. If d is
+    at most k0 = ceil(m/(n-1)), a lower bound (Nash-Williams), the slots
+    are a minimum decomposition. Otherwise the first k0 slot classes seed
+    the exchange search (Edmonds' matroid partition), which places the
+    later slots' edges in index order; a failed search proves the current
+    k infeasible, so k is incremented and the search resumes.
     """
-    m = g.m
+    m, n, edges = g.m, g.n, g.edges
     if m == 0:
         return 0, ForestDecomposition(g, (), 0)
-    k = max(1, -((-m) // (g.n - 1)))
-    part = _Partitioner(g, k)
-    for e in range(m):
-        while not part.place(e):
-            part.add_forest()
-    decomp = ForestDecomposition(g, tuple(part.owner), part.k)
+    k = max(1, -((-m) // (n - 1)))
+    r, order = coloring_number(g)
+    rank = {v: i for i, v in enumerate(order)}
+    owned = [0] * n
+    slot = []
+    for u, v in edges:
+        w = u if rank[u] > rank[v] else v
+        slot.append(owned[w])
+        owned[w] += 1
+    if r - 1 <= k:
+        decomp = ForestDecomposition(g, tuple(slot), k)
+    else:
+        part = _Partitioner(g, k)
+        for e, s in enumerate(slot):
+            if s < k:
+                u, v = edges[e]
+                part.forests[s].adj.setdefault(u, []).append((v, e))
+                part.forests[s].adj.setdefault(v, []).append((u, e))
+                part.owner[e] = s
+        for forest in part.forests:
+            for v in order:  # each tree is rooted at its earliest vertex
+                if v in forest.adj and forest.label[v] == v:
+                    forest._hang(v, -1, v, 0)
+            forest.size = {lab: c for lab, c in Counter(forest.label).items() if c > 1}
+        for e, s in enumerate(slot):
+            if s >= k:
+                while not part.place(e):
+                    part.add_forest()
+        decomp = ForestDecomposition(g, tuple(part.owner), part.k)
     if not decomp.is_valid():
-        raise AssertionError("matroid partition produced an invalid decomposition")
-    return part.k, decomp
+        raise AssertionError("forest partition produced an invalid decomposition")
+    return decomp.num_forests, decomp
 
 
 def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:

@@ -39,10 +39,18 @@ ORACLE_MAX_EDGES = 10
 
 @dataclass(frozen=True)
 class Budget:
-    """Node-count and wall-clock ceilings for one solver call."""
+    """Node-count and wall-clock ceilings for one solver call; None means
+    no ceiling. A ceiling that could never be met is refused."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError(f"budget nodes must be at least 1, got {self.max_nodes}")
+        if self.max_seconds is not None and not self.max_seconds > 0:
+            # also false for nan, which would never run out
+            raise ValueError(f"budget seconds must be positive, got {self.max_seconds}")
 
 
 @dataclass(frozen=True)

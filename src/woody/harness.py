@@ -251,6 +251,7 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
              log=lambda msg: print(msg, file=sys.stderr)) -> HuntOutcome:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    budget = Budget(config.budget_nodes, config.budget_seconds)
     tasks = [(p, ln, text, config) for p, ln, text in iter_corpus(paths)]
     outcome = HuntOutcome()
 
@@ -263,8 +264,7 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
             return False
         outcome.records.append(rec)
         if any(v == "violated" for v in rec["flags"].values()):
-            if not reverify_violation(
-                    rec, Budget(config.budget_nodes, config.budget_seconds)):
+            if not reverify_violation(rec, budget):
                 raise AssertionError(
                     f"{rec['graph_id']}: violation record failed re-verification")
             outcome.violations.append(rec)

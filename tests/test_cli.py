@@ -215,6 +215,15 @@ class TestExactCommand:
         assert code == 4
         assert "inexact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--budget-nodes", "-3", "budget nodes must be at least 1, got -3"),
+        ("--budget-secs", "nan", "budget seconds must be positive, got nan"),
+    ])
+    def test_bad_budget_message(self, tmp_path, capsys, flag, value, message):
+        gp = write_graph(tmp_path, complete_graph(6))
+        assert main(["exact", gp, "--param", "strong-arb", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("key,value", BAD_BUDGETS)
     def test_bad_budget_rejected(self, tmp_path, capsys, key, value):
         gp = write_graph(tmp_path, complete_graph(6))

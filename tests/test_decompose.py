@@ -87,12 +87,18 @@ class BfsPartitioner:
         return False
 
 
-def bfs_partition(g: Graph) -> BfsPartitioner:
-    part = BfsPartitioner(g, max(1, -((-g.m) // (g.n - 1))))
+def exchange_partition(g: Graph, cls=_Partitioner):
+    """The exchange search alone: cls from empty forests at the density
+    bound, fed every edge in index order."""
+    part = cls(g, max(1, -((-g.m) // (g.n - 1))))
     for e in range(g.m):
         while not part.place(e):
             part.add_forest()
     return part
+
+
+def bfs_partition(g: Graph) -> BfsPartitioner:
+    return exchange_partition(g, BfsPartitioner)
 
 
 def k5_with_pendant_path() -> Graph:
@@ -129,6 +135,12 @@ def check_forest_state(part: _Partitioner) -> None:
         assert forest.size == {lab: c for lab, c in members.items() if c > 1}
 
 
+def small_corpus() -> list[Graph]:
+    return (connected_upto(7)
+            + [g for n in range(1, 9) for g in corpus_graphs(f"planar_connected_n{n}.g6")]
+            + corpus_graphs("triangle_free_planar_upto12.g6"))
+
+
 class TestArboricity:
     def test_small_values(self):
         assert arboricity(path_graph(7))[0] == 1
@@ -140,16 +152,17 @@ class TestArboricity:
 
     def test_exchange_chain_order_is_pinned(self):
         # the exchange search queues each cycle's edges from the far end
-        # back to the near one; the other order gives (0, 1, 1, 0, 1, 0)
+        # back to the near one; the other order gives (0, 1, 0, 1, 1, 0)
         assert arboricity(complete_graph(4))[1].assignment == (0, 0, 1, 1, 1, 0)
 
     def test_assignments_match_the_bfs_exchange_search(self):
-        graphs = (connected_upto(7)
-                  + [g for n in range(1, 9) for g in corpus_graphs(f"planar_connected_n{n}.g6")]
-                  + corpus_graphs("triangle_free_planar_upto12.g6"))
-        for g in graphs:
+        # the rooted exchange search, run from empty forests, takes every
+        # step the whole-forest BFS takes; arboricity itself starts from the
+        # degeneracy seed, so its decomposition may differ
+        for g in small_corpus():
             if g.m:
-                assert arboricity(g)[1].assignment == tuple(bfs_partition(g).owner)
+                part = exchange_partition(g)
+                assert tuple(part.owner) == tuple(bfs_partition(g).owner)
 
     def test_assignments_match_on_relabeled_grids(self):
         rng = random.Random(11)
@@ -158,7 +171,7 @@ class TestArboricity:
                 g = relabeled(grid_graph(30, 30, triangulated), rng)
                 ref = bfs_partition(g)
                 assert ref.moves > 0  # exchange chains ran
-                assert arboricity(g)[1].assignment == tuple(ref.owner)
+                assert tuple(exchange_partition(g).owner) == tuple(ref.owner)
 
     def test_extra_forest_matches(self):
         g = k5_with_pendant_path()
@@ -205,6 +218,66 @@ class TestArboricity:
         part._insert(0, 1)
         with pytest.raises(AssertionError):
             part._insert(0, 2)
+
+    def test_seed_or_fallback_meets_the_density_oracle(self):
+        for g in small_corpus():
+            k, d = arboricity(g)
+            assert k == nash_williams_ceiling(g) == d.num_forests
+            assert d.is_valid()
+
+    @pytest.mark.parametrize("triangulated", [False, True])
+    def test_seed_alone_decomposes_relabeled_grids(self, monkeypatch, triangulated):
+        # the degeneracy equals the density bound, so neither the exchange
+        # search nor its rooted forests are set up
+        calls = []
+        real_init, real_place = _Partitioner.__init__, _Partitioner.place
+
+        def counting_init(self, g, k):
+            calls.append("init")
+            real_init(self, g, k)
+
+        def counting_place(self, e):
+            calls.append(e)
+            return real_place(self, e)
+
+        monkeypatch.setattr(_Partitioner, "__init__", counting_init)
+        monkeypatch.setattr(_Partitioner, "place", counting_place)
+        g = relabeled(grid_graph(30, 30, triangulated), random.Random(30))
+        k, d = arboricity(g)
+        assert k == (3 if triangulated else 2) == -((-g.m) // (g.n - 1))
+        assert d.is_valid() and calls == []
+
+    @pytest.mark.parametrize("g, bound, arb", [
+        (complete_graph(4), 2, 2),
+        (k5_with_pendant_path(), 2, 3),
+    ])
+    def test_fallback_places_the_leftover_slots(self, monkeypatch, g, bound, arb):
+        # degeneracy 3 and 4 exceed the density bound 2, so the later slots
+        # go through the exchange search, after the seeded forests have been
+        # rooted exactly as link and cut keep them
+        calls = []
+        real_place = _Partitioner.place
+
+        def checking_place(self, e):
+            if not calls:
+                assert self.k == bound
+                check_forest_state(self)
+            calls.append(e)
+            return real_place(self, e)
+
+        monkeypatch.setattr(_Partitioner, "place", checking_place)
+        assert max(1, -((-g.m) // (g.n - 1))) == bound
+        k, d = arboricity(g)
+        assert k == arb == d.num_forests and d.is_valid()
+        assert calls == sorted(calls) and calls
+
+    def test_relabeled_grid_150_scales(self):
+        g = relabeled(grid_graph(150, 150), random.Random(150))
+        start = time.perf_counter()
+        k, d = arboricity(g)
+        elapsed = time.perf_counter() - start
+        assert k == 2 and d.is_valid()
+        assert elapsed < 2.0
 
     def test_triangulated_grid_60_scales(self):
         g = relabeled(grid_graph(60, 60, triangulated=True), random.Random(60))

@@ -47,6 +47,21 @@ from conftest import (
 )
 
 
+class TestBudget:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nodes": 0}, {"max_nodes": -3},
+        {"max_seconds": 0.0}, {"max_seconds": -1.0}, {"max_seconds": float("nan")},
+    ])
+    def test_unreachable_ceilings_are_refused(self, kwargs):
+        with pytest.raises(ValueError, match="budget"):
+            Budget(**kwargs)
+
+    def test_open_and_positive_ceilings_are_kept(self):
+        assert Budget() == Budget(None, None)
+        assert Budget(1, 1e-9).max_nodes == 1
+        assert Budget(max_seconds=float("inf")).max_seconds == float("inf")
+
+
 class TestStrongArboricity:
     def test_examples(self):
         assert strong_arboricity_exact(path_graph(5)).value == 1

@@ -27,7 +27,7 @@ from woody.harness import (
     write_summary_csv,
 )
 
-from conftest import DATA
+from conftest import DATA, corpus_lines
 
 
 def make_task(g6line, config, path="mem.g6", lineno=1):
@@ -126,6 +126,24 @@ class TestReplayAndReverify:
             },
         }
         assert reverify_violation(record)
+
+    def test_connected_n7_violations_reverify(self):
+        # graphs with m <= 3n - 6 that hold a K5 pass the Euler gate, so
+        # planar4 is violated for real; each record's forests come from the
+        # degeneracy-seeded arboricity and replay from the record alone
+        from woody.graphs import coloring_number
+
+        config = HuntConfig(conjectures=("planar4",))
+        records = []
+        for lineno, line in enumerate(corpus_lines("connected_n7.g6"), start=1):
+            g = parse_graph6(line)
+            if g.m <= 15 and coloring_number(g)[0] >= 5:
+                records.append(hunt_graph(("connected_n7.g6", lineno, line, config)))
+        violated = [r for r in records if r["flags"]["planar4"] == "violated"]
+        assert len(violated) >= 20
+        for rec in violated:
+            assert rec["witness"]["num_forests"] == rec["arb"]
+            assert reverify_violation(rec)
 
     def test_reverify_rejects_false_claim(self):
         g = cycle_graph(5)  # zeta 2, nothing exceeds planar4
@@ -353,6 +371,22 @@ class TestRunHunt:
         with pytest.raises(WorkerCrashError) as info:
             run_hunt([str(corpus)], DEFAULT, jobs=2)
         assert info.value.graph_id == f"{corpus}:40"
+
+    @pytest.mark.parametrize("config", [
+        HuntConfig(budget_seconds=float("nan")),
+        HuntConfig(budget_seconds=0.0),
+        HuntConfig(budget_nodes=0),
+    ])
+    def test_bad_budget_fails_before_any_worker(self, fake_pool, monkeypatch, config):
+        import woody.harness as H
+
+        def no_graph(task):
+            raise AssertionError("a graph was hunted")
+
+        monkeypatch.setattr(H, "hunt_graph", no_graph)
+        with pytest.raises(ValueError, match="budget"):
+            run_hunt([str(DATA / "planar_connected_n7.g6")], config, jobs=2)
+        assert fake_pool == []
 
     def test_no_more_workers_than_chunks(self, fake_pool, tmp_path):
         # an empty corpus or a single chunk runs in the calling process
