@@ -18,7 +18,7 @@ from .graphs import (
     induces_forest,
     is_2_independent,
     subset_adjacency,
-    subset_bfs,
+    tree_walk,
 )
 from .verify import EdgeColoring, VertexColoring, is_strongly_woody
 
@@ -47,11 +47,14 @@ def derived_coloring(g: Graph, f: VertexColoring, k: int) -> EdgeColoring:
 def depth_parity_shading(d: ForestDecomposition) -> EdgeColoring:
     """Split every forest class into two shades by depth parity.
 
-    Each tree is rooted at its lowest-index vertex; an edge whose child
+    Each tree is rooted at its lowest-index vertex and walked with
+    graphs.tree_walk; a vertex's depth is the length of its one tree path
+    to the root, whatever order the walk takes. An edge whose child
     endpoint sits at depth j gets shade (j-1) mod 2, so forest i emits
     colors 2i and 2i+1. No shade contains a path of three edges: on any
     tree path the two edges of a descending chain alternate shades, so a
-    monochromatic path has at most one edge on each side of its apex.
+    monochromatic path has at most one edge on each side of its apex. A
+    class with a cycle raises ValueError.
     """
     g = d.parent
     colors: list[int | None] = [None] * g.m
@@ -61,14 +64,12 @@ def depth_parity_shading(d: ForestDecomposition) -> EdgeColoring:
         for root in sorted(nbrs):
             if root in depth:
                 continue
-            # discovery order puts every parent before its children
-            for w, link in subset_bfs(nbrs, root).items():
-                if link is None:
-                    depth[w] = 0
-                    continue
-                u, e = link
-                depth[w] = depth[u] + 1
-                colors[e] = 2 * fi + depth[u] % 2
+            depth[root] = 0
+            for x, e, w in tree_walk(nbrs, root):
+                if x in depth:
+                    raise ValueError(f"forest class {fi} has a cycle")
+                depth[x] = depth[w] + 1
+                colors[e] = 2 * fi + depth[w] % 2
     return EdgeColoring(g, colors)
 
 

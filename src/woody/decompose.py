@@ -5,7 +5,8 @@ that serves as its independent oracle.
 The two routes are kept deliberately separate: arboricity() builds a
 certifying forest decomposition (a smallest-last seed, then Edmonds' exchange
 search on forests kept rooted so that a connectivity test is a label
-comparison and a cycle is a climb along parent edges), while
+comparison and a cycle is a climb along parent edges; a link or a cut
+re-roots the smaller tree in one graphs.tree_walk), while
 fractional_arboricity_bruteforce() maximizes |E(H)|/(|V(H)|-1) over all
 induced subgraphs with exact rational arithmetic. Their agreement
 (min forests = ceiling of max density) is asserted across the test corpus.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, PreconditionError
-from .graphs import Graph, UnionFind, VertexSubsetView, coloring_number
+from .graphs import Graph, UnionFind, VertexSubsetView, coloring_number, tree_walk
 
 DENSITY_MAX_VERTICES = 24
 
@@ -79,18 +80,6 @@ def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _tree_walk(adj: dict[int, list[tuple[int, int]]], root: int):
-    """Yield the vertices of root's tree in adj, one per step."""
-    yield root
-    stack = [(root, -1)]
-    while stack:
-        w, pe = stack.pop()
-        for x, e in adj.get(w, ()):
-            if e != pe:
-                yield x
-                stack.append((x, e))
-
-
 class _Forest:
     """One forest of the partition, kept rooted.
 
@@ -115,16 +104,10 @@ class _Forest:
 
     def _hang(self, s: int, pe: int, lab: int, d: int) -> None:
         """Root s's tree at s, below parent edge pe at depth d, labelled lab."""
-        label, parent, depth, adj = self.label, self.parent, self.depth, self.adj
+        label, parent, depth = self.label, self.parent, self.depth
         label[s], parent[s], depth[s] = lab, pe, d
-        stack = [s]
-        while stack:
-            w = stack.pop()
-            pe, d = parent[w], depth[w] + 1
-            for x, e in adj.get(w, ()):
-                if e != pe:
-                    label[x], parent[x], depth[x] = lab, e, d
-                    stack.append(x)
+        for x, e, w in tree_walk(self.adj, s):
+            label[x], parent[x], depth[x] = lab, e, depth[w] + 1
 
     def link(self, e: int) -> None:
         """Add edge e, hanging the smaller tree under the larger one."""
@@ -147,8 +130,8 @@ class _Forest:
         adj, size = self.adj, self.size
         adj[u].remove((v, e))
         adj[v].remove((u, e))
-        walks = (_tree_walk(adj, u), _tree_walk(adj, v))
-        small = 0
+        walks = (tree_walk(adj, u), tree_walk(adj, v))
+        small = 1
         while True:
             if next(walks[0], None) is None:
                 s, t = u, v

@@ -144,7 +144,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
 def max_clique_size(g: Graph, vertices=None) -> int:
     """Size of a maximum clique among `vertices` (default: all).
 
-    Exact branch and bound up to 24 candidate vertices, greedy below that
+    Exact branch and bound up to 24 candidate vertices, greedy above that
     threshold; the greedy value is still a clique, hence a sound lower
     bound wherever this feeds one.
     """
@@ -156,7 +156,7 @@ def max_clique_size(g: Graph, vertices=None) -> int:
         # one greedy clique per start vertex, grown from its neighbours only
         vset = set(verts)
         best = 0
-        for v in sorted(verts, key=lambda x: -len(nbr[x] & vset)):
+        for v in verts:  # the maximum over all starts needs no order
             clique = {v}
             for w in sorted(nbr[v] & vset):
                 if all(w in nbr[u] for u in clique):
@@ -517,9 +517,10 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
 
     The returned partition satisfies every precondition of
     partition_coloring, so girth below 4 is an immediate exact NotFound.
-    Exhaustive DFS in BFS vertex order, A tried before F, with A and F as
-    vertex bitsets: v may join A iff no vertex within distance 2 of v is in
-    A, and F iff one BFS inside F from each F-neighbour of v meets no other.
+    Exhaustive DFS in BFS vertex order on an explicit trail, A tried before
+    F, with A and F as vertex bitsets: v may join A iff no vertex within
+    distance 2 of v is in A, and F iff one BFS inside F from each
+    F-neighbour of v meets no other.
     """
     t0 = time.monotonic()
     ticker = _Ticker(budget, t0)
@@ -535,31 +536,36 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
                 near[v] |= adj[w] | 1 << w
             near[v] &= ~(1 << v)
 
-        def dfs(pos: int, a: int, f: int) -> int | None:
-            ticker.tick()
-            if pos == n:
-                return a
-            v = order[pos]
-            if not near[v] & a:
-                leaf = dfs(pos + 1, a | 1 << v, f)
-                if leaf is not None:
-                    return leaf
-            rest = f_nbrs = adj[v] & f
-            while rest:
-                start = tree = todo = rest & -rest
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    grow = adj[low.bit_length() - 1] & f & ~tree
-                    tree |= grow
-                    todo |= grow
-                if tree & f_nbrs != start:
-                    return None
-                rest ^= start
-            return dfs(pos + 1, a, f | 1 << v)
-
+        # (pos, A, F, v joining F or -1): the A branch is pushed last, so it
+        # runs first, and the F branch's BFS runs only when it is popped
+        trail = [(0, 0, 0, -1)]
         try:
-            found = dfs(0, 0, 0)
+            while trail:
+                pos, a, f, v = trail.pop()
+                if v >= 0:
+                    rest = f_nbrs = adj[v] & f
+                    while rest:
+                        start = tree = todo = rest & -rest
+                        while todo:
+                            low = todo & -todo
+                            todo ^= low
+                            grow = adj[low.bit_length() - 1] & f & ~tree
+                            tree |= grow
+                            todo |= grow
+                        if tree & f_nbrs != start:
+                            break
+                        rest ^= start
+                    if rest:
+                        continue
+                    f |= 1 << v
+                ticker.tick()
+                if pos == n:
+                    found = a
+                    break
+                v = order[pos]
+                trail.append((pos + 1, a, f, v))
+                if not near[v] & a:
+                    trail.append((pos + 1, a | 1 << v, f, -1))
         except _BudgetExhausted:
             exact = False
     a = f = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError
 
@@ -265,29 +265,22 @@ def subset_adjacency(g: Graph, eids: Iterable[int]) -> dict[int, list[tuple[int,
     return nbrs
 
 
-def subset_bfs(nbrs: dict[int, list[tuple[int, int]]], src: int,
-               dst: int | None = None) -> dict[int, tuple[int, int] | None]:
-    """Breadth-first tree from src inside an edge subset.
+def tree_walk(nbrs: dict[int, list[tuple[int, int]]], root: int
+              ) -> Iterator[tuple[int, int, int]]:
+    """Walk root's tree in a forest given as an edge subset.
 
     nbrs maps a vertex to its (neighbor, edge id) pairs in the subset, as
-    subset_adjacency builds them. Returns {vertex: (parent, edge id)} in
-    discovery order, with src mapped to None. Given dst, the search stops
-    as soon as dst is discovered (at once if dst touches no subset edge);
-    following parents from dst then walks a shortest path back to src.
+    subset_adjacency builds them. Yields (vertex, edge id, parent) for every
+    vertex of the tree except root, each after its parent, the edge joining
+    the two. Nothing is marked as seen, so the subset must be a forest.
     """
-    tree: dict[int, tuple[int, int] | None] = {src: None}
-    if dst is not None and dst not in nbrs:
-        return tree
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for w, e in nbrs.get(u, ()):
-            if w not in tree:
-                tree[w] = (u, e)
-                if w == dst:
-                    return tree
-                q.append(w)
-    return tree
+    stack = [(root, -1)]
+    while stack:
+        w, pe = stack.pop()
+        for x, e in nbrs.get(w, ()):
+            if e != pe:
+                yield x, e, w
+                stack.append((x, e))
 
 
 class UnionFind:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import GuardError
-from .graphs import Graph, UnionFind, subset_adjacency, subset_bfs
+from .graphs import Graph, UnionFind, subset_adjacency, tree_walk
 
 ORACLE_MAX_VERTICES = 10
 
@@ -202,15 +202,21 @@ def _require_total(c) -> None:
 
 def _class_path(g: Graph, class_edges: list[int], src: int, dst: int
                 ) -> tuple[list[int], list[int]]:
-    """Path from src to dst using only the given edges: (vertices, edge ids)."""
-    tree = subset_bfs(subset_adjacency(g, class_edges), src, dst)
-    if dst not in tree:
+    """Path from src to dst in the forest of the given edges: (vertices,
+    edge ids). The walk from src stops at dst; a climb back along the
+    parents it recorded is the tree's one path between them."""
+    up: dict[int, tuple[int, int]] = {}
+    for x, e, w in tree_walk(subset_adjacency(g, class_edges), src):
+        up[x] = (w, e)
+        if x == dst:
+            break
+    else:
         raise AssertionError("no path inside color class; verifier state is broken")
     verts = [dst]
     eids = []
     cur = dst
     while cur != src:
-        cur, e = tree[cur]
+        cur, e = up[cur]
         verts.append(cur)
         eids.append(e)
     verts.reverse()

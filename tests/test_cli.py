@@ -12,6 +12,7 @@ from woody.graphs import (
     encode_graph6,
     format_edge_list,
     parse_graph6,
+    path_graph,
 )
 from woody.verify import EdgeColoring, is_strongly_woody
 
@@ -113,6 +114,17 @@ class TestColorCommand:
         colors = [int(t) for t in open(out).read().split()]
         assert is_strongly_woody(EdgeColoring(g, colors))[0]
         assert "palette" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph", [path_graph(1200), cycle_graph(1200)],
+                             ids=["P1200", "C1200"])
+    def test_partition_deeper_than_the_recursion_limit(self, tmp_path, graph, capsys):
+        gp = write_graph(tmp_path, graph)
+        out = str(tmp_path / "out.coloring")
+        assert main(["color", gp, "--method", "partition", "-o", out]) == 0
+        colors = [int(t) for t in open(out).read().split()]
+        assert sorted(set(colors)) == [0, 1]
+        assert is_strongly_woody(EdgeColoring(graph, colors))[0]
+        assert "palette 2" in capsys.readouterr().out
 
     def test_parity_bound(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(6))

@@ -81,6 +81,12 @@ class TestDepthParityShading:
         c = depth_parity_shading(d)
         assert c.colors == (0, 1, 0, 1)
 
+    def test_class_with_a_cycle_is_refused(self):
+        # tree_walk keeps no seen-set, so a cycle is refused, not walked forever
+        g = cycle_graph(4)
+        with pytest.raises(ValueError, match="forest class 1 has a cycle"):
+            depth_parity_shading(ForestDecomposition(g, (1,) * 4, 2))
+
     def test_no_monochromatic_three_edge_path(self, connected_n6):
         # direct path search per shade
         for g in connected_n6[::3]:

@@ -23,7 +23,6 @@ from woody.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
-    subset_bfs,
 )
 
 from conftest import connected_upto, corpus_graphs, grid_graph, relabeled
@@ -57,6 +56,22 @@ class BfsPartitioner:
         self.forests[fi][v].remove((u, e))
         self.moves += 1
 
+    @staticmethod
+    def _bfs(nbrs, src, dst):
+        """Breadth-first tree {vertex: (parent, edge id)} from src, src
+        mapped to None, stopping once dst is discovered."""
+        tree = {src: None}
+        q = deque([src])
+        while q:
+            u = q.popleft()
+            for w, e in nbrs.get(u, ()):
+                if w not in tree:
+                    tree[w] = (u, e)
+                    if w == dst:
+                        return tree
+                    q.append(w)
+        return tree
+
     def place(self, e0):
         pred = {e0: None}
         queue = deque([e0])
@@ -66,7 +81,7 @@ class BfsPartitioner:
             for fi in range(self.k):
                 if self.owner[x] == fi:
                     continue
-                tree = subset_bfs(self.forests[fi], xu, xv)
+                tree = self._bfs(self.forests[fi], xu, xv)
                 if xv not in tree:
                     target = fi
                     while True:

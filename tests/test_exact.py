@@ -581,3 +581,12 @@ class TestPartitionSearch:
         g = subdivide(petersen_graph(), 3)
         res = find_forest_2independent_partition(g, Budget(max_nodes=2))
         assert not res.found and not res.exact
+
+    @pytest.mark.parametrize("g", [path_graph(1200), cycle_graph(1200)],
+                             ids=["P1200", "C1200"])
+    def test_deeper_than_the_recursion_limit(self, g):
+        # one node per vertex and one for the empty root, no backtrack
+        res = find_forest_2independent_partition(g)
+        assert res.found and res.exact and res.nodes == 1201
+        coloring = partition_coloring(g, res.a, res.f)
+        assert is_strongly_woody(coloring)[0]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from woody.errors import GraphFormatError
 from woody.graphs import (
     Graph,
+    UnionFind,
     VertexSubsetView,
     coloring_number,
     complete_graph,
@@ -24,7 +26,7 @@ from woody.graphs import (
     path_graph,
     star_graph,
     subset_adjacency,
-    subset_bfs,
+    tree_walk,
 )
 from woody.verify import enumerate_cycles
 
@@ -54,25 +56,41 @@ class TestGraphModel:
         assert induced == {(0, 1), (1, 2)}
 
 
-class TestSubsetBfs:
-    def test_tree_in_discovery_order(self):
-        # the subset {0-1, 1-2, 1-3, 4-5} of K6: BFS from 0 stays in 0..3
+class TestTreeWalk:
+    def random_forest(self, seed: int):
+        """A random forest inside K9 as a subset, with the graph's other
+        edges outside it."""
+        g = complete_graph(9)
+        rng = random.Random(seed)
+        order = list(range(g.m))
+        rng.shuffle(order)
+        uf = UnionFind(g.n)
+        eids = [e for e in order[:14] if uf.union(*g.edges[e])]
+        return g, eids, uf
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_vertex_once_after_its_parent_from_any_root(self, seed):
+        g, eids, uf = self.random_forest(seed)
+        nbrs = subset_adjacency(g, eids)
+        for root in range(g.n):
+            seen = {root}
+            for x, e, w in tree_walk(nbrs, root):
+                assert x not in seen and w in seen
+                assert e in eids and set(g.edges[e]) == {x, w}
+                seen.add(x)
+            assert seen == {v for v in range(g.n) if uf.find(v) == uf.find(root)}
+
+    def test_parent_edges_form_the_tree(self):
+        # the subset {0-1, 1-2, 1-3, 4-5} of K6: from 2 the walk stays in 0..3
         g = complete_graph(6)
         eids = [g.edge_id(0, 1), g.edge_id(1, 2), g.edge_id(1, 3), g.edge_id(4, 5)]
         nbrs = subset_adjacency(g, eids)
         assert nbrs[1] == [(0, eids[0]), (2, eids[1]), (3, eids[2])]
-        tree = subset_bfs(nbrs, 0)
-        assert list(tree.items()) == [
-            (0, None), (1, (0, eids[0])), (2, (1, eids[1])), (3, (1, eids[2]))]
-
-    def test_stops_at_dst(self):
-        g = path_graph(6)
-        nbrs = subset_adjacency(g, range(g.m))
-        assert list(subset_bfs(nbrs, 2, 1)) == [2, 1]
-        assert list(subset_bfs(nbrs, 2, 4)) == [2, 1, 3, 0, 4]
-        # a dst outside the subset ends the search at once
-        assert subset_bfs(subset_adjacency(g, [0, 1]), 0, 5) == {0: None}
-        assert 5 not in subset_bfs(subset_adjacency(g, [0, 1, 4]), 0, 5)
+        walk = sorted(tree_walk(nbrs, 2))
+        assert walk == [(0, eids[0], 1), (1, eids[1], 2), (3, eids[2], 1)]
+        # 4-5 is a tree of its own; a vertex with no subset edge yields nothing
+        assert list(tree_walk(nbrs, 4)) == [(5, eids[3], 4)]
+        assert list(tree_walk(subset_adjacency(g, []), 0)) == []
 
 
 class TestGraph6:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from concurrent.futures.process import BrokenProcessPool
@@ -334,12 +335,15 @@ class TestRunHunt:
             assert other.violations == outcomes[0].violations
             assert other.summary == outcomes[0].summary
 
-    def test_jobs_do_not_change_report_bytes(self):
+    def test_jobs_do_not_change_report_bytes(self, monkeypatch):
         config = HuntConfig(conjectures=("planar4", "twoarb", "col", "girth-eq"))
+        # relative paths from the repository root keep graph_id and corpus
+        # free of where the checkout lives, so the bytes can be pinned
+        monkeypatch.chdir(DATA.parent.parent)
         # 99 + 646 + 338 graphs: chunks straddle both file boundaries
-        paths = [str(DATA / "planar_connected_n6.g6"),
-                 str(DATA / "planar_connected_n7.g6"),
-                 str(DATA / "triangle_free_planar_upto12.g6")]
+        paths = ["tests/data/planar_connected_n6.g6",
+                 "tests/data/planar_connected_n7.g6",
+                 "tests/data/triangle_free_planar_upto12.g6"]
         blobs = []
         for jobs in (1, 2, 3):
             assert 99 % chunk_size(1083, jobs) and 745 % chunk_size(1083, jobs)
@@ -352,6 +356,12 @@ class TestRunHunt:
         assert len(blobs[0][0].splitlines()) == 1083
         assert blobs[1] == blobs[0]
         assert blobs[2] == blobs[0]
+        # Pinned so that a change meant to alter nothing is checked against
+        # the commit before it. A change that alters a certificate on
+        # purpose re-pins both values, and its CHANGES.md entry says why.
+        report, summary = (hashlib.sha256(b.encode()).hexdigest() for b in blobs[0])
+        assert report == "ea1a04224662e39f32e3241bed7b705a242377aefde9574d1d4415b25ef373e2"
+        assert summary == "b41f07eb72caeebbc8de2b8368db8428c06e0be2402757073a89d15b705207d9"
 
     def test_worker_crash_names_the_first_graph_without_a_record(
             self, fake_pool, monkeypatch):
