@@ -13,7 +13,6 @@ from .graphs import (
     Graph,
     coloring_number,
     find_triangle,
-    girth,
     has_triangle,
     induces_forest,
     is_2_independent,
@@ -176,8 +175,9 @@ def partition_coloring(g: Graph, a, f) -> EdgeColoring:
         raise PreconditionError("f does not induce a forest")
     if not is_2_independent(g, a_set):
         raise PreconditionError("a is not 2-independent")
-    if girth(g) < 4:
-        raise PreconditionError("girth below 4")
+    tri = find_triangle(g)
+    if tri is not None:
+        raise PreconditionError(f"girth below 4: triangle {tri}", certificate=tri)
     colors = []
     for u, v in g.edges:
         colors.append(0 if (u in f_set and v in f_set) else 1)

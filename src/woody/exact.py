@@ -2,15 +2,15 @@
 chromatic number, chromatic index, and the forest / 2-independent vertex
 partition search.
 
-All solvers are iterative-deepening branch and bound with canonical-palette
-symmetry breaking (a new color index may be used only once all smaller
-indices appear) and incremental feasibility state undone on backtrack. Every
-certificate is re-verified before it is returned; budget exhaustion yields
-explicit bounds instead of a guess.
+The coloring solvers are iterative-deepening branch and bound with
+canonical-palette symmetry breaking (a new color index may be used only
+once all smaller indices appear) and incremental feasibility state undone
+on backtrack. Every certificate is re-verified before it is returned;
+budget exhaustion yields explicit bounds instead of a guess.
 
-ζ, χ_a, χ, χ′ and the unpruned ζ oracle branch in one forward-checked,
-most-constrained-first search (_search_colors); each gives only its
-admissibility rule.
+ζ, χ_a, χ, χ′, the unpruned ζ oracle and the partition search branch in one
+forward-checked, most-constrained-first search (_search_colors) on an
+explicit trail, not the call stack; each gives only its admissibility rule.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .construct import arboricity_square_coloring
 from .decompose import arboricity
 from .errors import GuardError
-from .graphs import Graph, connected_components, girth, has_cycle, has_triangle
+from .graphs import Graph, connected_components, has_cycle, has_triangle
 from .verify import (
     EdgeColoring,
     VertexColoring,
@@ -206,69 +206,80 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
         return 0
     if arb is None:
         arb, _ = arboricity(g)
-    lb = max(arb, 1, adjacent_conflict_bound(g))
+    # arboricity is already at least 1 with an edge and 2 with a cycle
+    lb = max(arb, adjacent_conflict_bound(g))
     if has_triangle(g):
         lb = max(lb, 3)
-    elif has_cycle(g):
-        lb = max(lb, 2)
     return lb
 
 
 def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
-                   assign, leaf=None) -> list[int] | None:
-    """The forward-checked search behind ζ, χ_a, χ, χ′ and the ζ oracle:
-    one coloring of the items with at most k colors, else None; with leaf,
-    only a coloring that passes leaf(colors) counts.
+                   assign, leaf=None, used: int = 0) -> list[int] | None:
+    """The forward-checked search behind ζ, χ_a, χ, χ′, the ζ oracle and
+    the partition search: one coloring of the items with at most k colors,
+    else None; with leaf, only a coloring that passes leaf(colors) counts.
 
     mask[e] holds the colors still admissible for the uncolored item e.
     The search branches on the uncolored item with the fewest (Brélaz's
     DSATUR rule: the one fresh color the canonical palette allows counts as
-    one, and ties go to the item that comes first in order). assign(e, c,
-    bit_c) is a generator that carries the admissibility rule: given
-    colors[e] = c, it clears bit_c from the masks of the uncolored items
-    the color excludes and yields them; resumed on backtrack, it undoes its
-    own state, and the bit_c clears are restored here. A rule may also
-    exclude colors other than c (χ_a does); it restores those itself. An
+    one, and ties go to the item that comes first in order). used is the
+    number of colors in use from the start: 0 gives the canonical palette,
+    k makes the colors not interchangeable. assign(e, c, bit_c) is a
+    generator that carries the admissibility rule: given colors[e] = c, it
+    clears bit_c from the masks of the uncolored items the color excludes
+    and yields them once; resumed on backtrack, it undoes its own state,
+    and the bit_c clears are restored here first. A rule may also exclude
+    colors other than c (χ_a does); it restores those itself. An
     assignment whose bit_c clears leave some uncolored item with no
     admissible color is pruned at once; an item that another clear leaves
-    empty is refused when it is next picked, at no extra node.
+    empty is refused when it is next picked, at no extra node. The
+    branching runs on an explicit trail, so no depth is too deep for it.
     """
     m = len(colors)
-
-    def dfs(depth: int, used: int) -> bool:
-        if depth == m:
-            return leaf is None or leaf(colors)
-        # the fresh color `used` is in every mask while used < k (an item
-        # excludes only colors in use); past the wipe-out check an item is
-        # at zero only after another color's clear, and is refused when
-        # picked
-        low = (2 << used) - 1
-        best = count = m + 1
-        for f in order:
-            if colors[f] is None and (fc := (mask[f] & low).bit_count()) < count:
-                best, count = f, fc
-                if count == 1:
-                    break
-        cands = mask[best] & low
-        while cands:
-            bit_c = cands & -cands
-            cands ^= bit_c
-            c = bit_c.bit_length() - 1
-            ticker.tick()
-            colors[best] = c
-            used_after = used + (c == used)  # c <= used: the palette is canonical
-            for cleared in assign(best, c, bit_c):
+    # (item, untried colors, palette before it, suspended assign, clears, bit)
+    trail = []
+    while True:
+        if len(trail) == m:
+            if leaf is None or leaf(colors):
+                return list(colors)
+            cands = 0  # a refused leaf: back to the last item
+        else:
+            # the fresh color `used` is in every mask while used < k (an
+            # item excludes only colors in use); past the wipe-out check an
+            # item is at zero only after another color's clear, and is
+            # refused when picked; no count exceeds k
+            low = (2 << used) - 1
+            count = k + 1
+            for f in order:
+                if colors[f] is None and (fc := (mask[f] & low).bit_count()) < count:
+                    e, count = f, fc
+                    if count == 1:
+                        break
+            cands = mask[e] & low
+        while True:  # e's next color; with none left, back to the item before
+            if not cands:
+                if not trail:
+                    return None
+                e, cands, used, rule, cleared, bit_c = trail.pop()
+            else:
+                bit_c = cands & -cands
+                cands ^= bit_c
+                c = bit_c.bit_length() - 1
+                ticker.tick()
+                colors[e] = c
+                rule = assign(e, c, bit_c)
+                cleared = next(rule)
+                used_after = used + (c == used)  # low allows no c above used
                 # the wipe-out check: once all k colors are in use, an item
                 # whose mask emptied has no color left
-                if (used_after < k or all(map(mask.__getitem__, cleared))) \
-                        and dfs(depth + 1, used_after):
-                    return True
-                for f in cleared:
-                    mask[f] |= bit_c
-            colors[best] = None
-        return False
-
-    return list(colors) if dfs(0, 0) else None
+                if used_after < k or all(map(mask.__getitem__, cleared)):
+                    trail.append((e, cands, used, rule, cleared, bit_c))
+                    used = used_after
+                    break
+            for f in cleared:
+                mask[f] |= bit_c
+            next(rule, None)
+            colors[e] = None
 
 
 def _search_strongly_woody(g: Graph, k: int, order: list[int],
@@ -516,61 +527,49 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
     """Split V into A (pairwise distance >= 3) and F (induces a forest).
 
     The returned partition satisfies every precondition of
-    partition_coloring, so girth below 4 is an immediate exact NotFound.
-    Exhaustive DFS in BFS vertex order on an explicit trail, A tried before
-    F, with A and F as vertex bitsets: v may join A iff no vertex within
-    distance 2 of v is in A, and F iff one BFS inside F from each
-    F-neighbour of v meets no other.
+    partition_coloring, so a triangle is an immediate exact NotFound.
+    _search_colors colors the vertices: 0 is A and 1 is F, both in use from
+    the start, as they are not interchangeable; A is tried first, and ties
+    go to a BFS order. v in A clears A from the uncolored vertices within
+    distance 2 of v; v in F clears F from every uncolored vertex with two
+    neighbours in v's F-tree, the one tree that grew. Trees only grow along
+    a path, so a cleared F stays cleared.
     """
     t0 = time.monotonic()
     ticker = _Ticker(budget, t0)
     n = g.n
     found, exact = None, True
-    if girth(g) >= 4:
+    if not has_triangle(g):
         # each component in BFS order from its lowest vertex
         order = [v for comp in connected_components(g) for v in comp]
-        adj = [sum(1 << w for w in nb) for nb in g.adj]
-        near = [0] * n  # the vertices at distance 1 or 2
-        for v, nb in enumerate(g.adj):
-            for w in nb:
-                near[v] |= adj[w] | 1 << w
-            near[v] &= ~(1 << v)
+        colors = [None] * n
+        mask = [3] * n
 
-        # (pos, A, F, v joining F or -1): the A branch is pushed last, so it
-        # runs first, and the F branch's BFS runs only when it is popped
-        trail = [(0, 0, 0, -1)]
+        def assign(v: int, c: int, bit_c: int):
+            if c:
+                # the F-tree v joined, walked inside F
+                tree, members = 1 << v, [v]
+                for y in members:
+                    for x in g.adj[y]:
+                        if colors[x] == 1 and not tree >> x & 1:
+                            tree |= 1 << x
+                            members.append(x)
+                near = {x for y in members for x in g.adj[y]
+                        if sum(tree >> w & 1 for w in g.adj[x]) > 1}
+            else:
+                near = {x for w in g.adj[v] for x in (w, *g.adj[w])}
+            cleared = [x for x in near if colors[x] is None and mask[x] & bit_c]
+            for x in cleared:
+                mask[x] ^= bit_c
+            yield cleared
+
         try:
-            while trail:
-                pos, a, f, v = trail.pop()
-                if v >= 0:
-                    rest = f_nbrs = adj[v] & f
-                    while rest:
-                        start = tree = todo = rest & -rest
-                        while todo:
-                            low = todo & -todo
-                            todo ^= low
-                            grow = adj[low.bit_length() - 1] & f & ~tree
-                            tree |= grow
-                            todo |= grow
-                        if tree & f_nbrs != start:
-                            break
-                        rest ^= start
-                    if rest:
-                        continue
-                    f |= 1 << v
-                ticker.tick()
-                if pos == n:
-                    found = a
-                    break
-                v = order[pos]
-                trail.append((pos + 1, a, f, v))
-                if not near[v] & a:
-                    trail.append((pos + 1, a | 1 << v, f, -1))
+            found = _search_colors(colors, mask, 2, order, ticker, assign, used=2)
         except _BudgetExhausted:
             exact = False
     a = f = None
     if found is not None:
-        a = frozenset(v for v in range(n) if found >> v & 1)
+        a = frozenset(v for v in range(n) if found[v] == 0)
         f = frozenset(range(n)) - a
     return PartitionSearchResult(found is not None, a, f, exact, ticker.nodes,
                                  time.monotonic() - t0)

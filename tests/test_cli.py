@@ -242,6 +242,18 @@ class TestExactCommand:
         args = ["exact", gp, "--param", "strong-arb", "-o", str(tmp_path / "o")]
         assert_budget_rejected(args, tmp_path, capsys, key, value)
 
+    def test_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # the triangulated 20x20 grid has 1,121 edges and is colored with no
+        # backtrack
+        graph = grid_graph(20, 20, triangulated=True)
+        gp = write_graph(tmp_path, graph)
+        cert = str(tmp_path / "cert")
+        assert main(["exact", gp, "--param", "strong-arb", "-o", cert]) == 0
+        assert "strong-arb = 3 (nodes 1121," in capsys.readouterr().out
+        colors = [int(t) for t in open(cert).read().split()]
+        g = parse_graph6(encode_graph6(graph))
+        assert is_strongly_woody(EdgeColoring(g, colors))[0]
+
     def test_readme_example_session(self, tmp_path, capsys):
         # the README's example prints what the CLI prints, up to the timing
         text = README.read_text()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -232,8 +233,19 @@ class TestPartitionColoring:
 
     def test_girth_guard(self):
         g = cycle_graph(3)
-        with pytest.raises(PreconditionError, match="girth"):
+        with pytest.raises(PreconditionError, match="girth") as info:
             partition_coloring(g, {0}, {1, 2})
+        assert info.value.certificate == (0, 1, 2)
+
+    def test_long_path_under_a_second(self):
+        # the triangle test is linear on a path; a BFS from every vertex
+        # took seconds at this size
+        g = path_graph(4000)
+        a = set(range(0, 4000, 3))
+        t0 = time.perf_counter()
+        c = partition_coloring(g, a, set(range(4000)) - a)
+        assert time.perf_counter() - t0 < 1.0
+        assert c.palette_size == 2
 
     def test_named_failures(self):
         g = cycle_graph(6)

@@ -585,8 +585,39 @@ class TestPartitionSearch:
     @pytest.mark.parametrize("g", [path_graph(1200), cycle_graph(1200)],
                              ids=["P1200", "C1200"])
     def test_deeper_than_the_recursion_limit(self, g):
-        # one node per vertex and one for the empty root, no backtrack
+        # a node is an assignment tried: one per vertex, no backtrack
         res = find_forest_2independent_partition(g)
-        assert res.found and res.exact and res.nodes == 1201
+        assert res.found and res.exact and res.nodes == 1200
         coloring = partition_coloring(g, res.a, res.f)
         assert is_strongly_woody(coloring)[0]
+
+    @pytest.mark.parametrize("g,a", [
+        (Graph(0, []), set()),
+        (Graph(1, []), {0}),
+        (Graph(2, [(0, 1)]), {0}),
+        (path_graph(3), {0}),
+        (Graph(6, [(1, 2), (2, 3), (4, 5)]), {0, 1, 4}),
+    ], ids=["empty", "K1", "K2", "P3", "isolated"])
+    def test_colors_that_are_not_interchangeable(self, g, a):
+        # A and F are both in use from the start, so one vertex alone can
+        # count two admissible colors; the pick must still take it
+        res = find_forest_2independent_partition(g)
+        assert res.found and res.exact and res.a == a and res.nodes == g.n
+        assert res.f == set(range(g.n)) - a
+        assert is_strongly_woody(partition_coloring(g, res.a, res.f))[0]
+
+
+@pytest.mark.parametrize("g", [path_graph(1200), cycle_graph(1200)],
+                         ids=["P1200", "C1200"])
+@pytest.mark.parametrize("solve,items,values", [
+    (strong_arboricity_exact, "m", (1, 2)),
+    (acyclic_chromatic_exact, "n", (2, 3)),
+    (chromatic_exact, "n", (2, 2)),
+    (chromatic_index_exact, "m", (2, 2)),
+], ids=["zeta", "chi_a", "chi", "chi_index"])
+def test_deeper_than_the_recursion_limit(g, solve, items, values):
+    # one node per item: the search colors a path or an even cycle with no
+    # backtrack, 1,200 items deep
+    res = solve(g)
+    assert res.exact and res.value == values[has_cycle(g)]
+    assert res.nodes == getattr(g, items)
