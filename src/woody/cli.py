@@ -242,17 +242,15 @@ def cmd_exact(args) -> int:
 
 def cmd_hunt(args) -> int:
     conjectures = tuple(args.conjectures.split(",")) if args.conjectures else \
-        ("twoarb", "col", "girth-eq")
+        HuntConfig.conjectures
     for name in conjectures:
         if name not in CONJECTURES:
             print(f"unknown conjecture {name!r}; choose from {', '.join(CONJECTURES)}",
                   file=sys.stderr)
             return EXIT_PARSE
-    budget = _budget_from_args(args)
     config = HuntConfig(
         conjectures=conjectures,
-        budget_nodes=budget.max_nodes,
-        budget_seconds=budget.max_seconds,
+        budget=_budget_from_args(args),
         strict=args.strict,
         timings=args.timings,
         with_chi=args.with_chi,

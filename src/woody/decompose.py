@@ -51,9 +51,6 @@ class ForestDecomposition:
                     return False
         return True
 
-    def to_json(self) -> list[int]:
-        return list(self.assignment)
-
 
 @dataclass(frozen=True)
 class DensityCertificate:

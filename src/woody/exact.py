@@ -142,15 +142,24 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
 
 
 def max_clique_size(g: Graph, vertices=None) -> int:
-    """Size of a maximum clique among `vertices` (default: all).
+    """Clique number ω of g, or of the subgraph induced by `vertices`.
 
-    Exact branch and bound up to 24 candidate vertices, greedy above that
-    threshold; the greedy value is still a clique, hence a sound lower
+    Exact branch and bound on up to 24 vertices. A whole graph on more is
+    1 + the largest clique inside some N(v), as a maximum clique lies in
+    N(v) plus v for each of its vertices v: exact while no degree exceeds
+    24. A larger subset, such as a hub's neighbourhood, takes one greedy
+    clique per start vertex; that is still a clique, hence a sound lower
     bound wherever this feeds one.
     """
     verts = sorted(range(g.n) if vertices is None else vertices)
     if not verts:
         return 0
+    if vertices is None and len(verts) > 24:
+        best = 0
+        for nb in g.adj:
+            if len(nb) > best:
+                best = max(best, max_clique_size(g, nb))
+        return best + 1
     nbr = {v: g.neighbor_set(v) for v in verts}
     if len(verts) > 24:
         # one greedy clique per start vertex, grown from its neighbours only
@@ -163,41 +172,30 @@ def max_clique_size(g: Graph, vertices=None) -> int:
                     clique.add(w)
             best = max(best, len(clique))
         return best
-    best = 0
-
-    def expand(cand: list[int], size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            rest = [w for w in cand[i + 1:] if w in nbr[v]]
-            expand(rest, size + 1)
-
-    expand(verts, 0)
-    return best
+    return _grow_clique(nbr, verts, 0, 0)
 
 
-def adjacent_conflict_bound(g: Graph) -> int:
-    """Lower bound on strong arboricity from pairwise-conflicting edges.
-
-    Edges vu, vw must get distinct colors whenever uw is also an edge (the
-    two-edge path plus its closing edge is a broken cycle). The star of v
-    into a clique inside N(v) is therefore rainbow, giving the bound
-    max over v of the clique number of G[N(v)].
-    """
-    best = 0
-    for v in range(g.n):
-        nb = g.adj[v]
-        if len(nb) <= best:
-            continue
-        best = max(best, max_clique_size(g, nb))
+def _grow_clique(nbr: dict, cand: list[int], size: int, best: int) -> int:
+    # branch and bound: the largest of best and size + a clique in cand; a
+    # module function, as a recursive closure is a reference cycle that
+    # every call would leave to the cyclic garbage collector
+    best = max(best, size)
+    for i, v in enumerate(cand):
+        if size + len(cand) - i <= best:
+            break
+        best = _grow_clique(nbr, [w for w in cand[i + 1:] if w in nbr[v]], size + 1, best)
     return best
 
 
 def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
-    """Arboricity, the rainbow-star conflict bound and the triangle rule.
+    """Arboricity, the rainbow-star bound ω − 1 and the triangle rule.
+
+    Edges vu and vw need distinct colors whenever uw is an edge too: the
+    path u, v, w and its closing edge uw form a broken cycle. So the star
+    from v into a clique inside N(v) is rainbow. A clique inside N(v) plus
+    v is a clique, and a maximum clique minus any of its vertices v lies
+    in N(v), so the largest such star has ω − 1 edges. The three edges of
+    a triangle conflict pairwise, so ω ≥ 3 needs three colors.
 
     arb, when given, must be arboricity(g)[0]; a caller that already has
     it spares a second decomposition.
@@ -206,11 +204,9 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
         return 0
     if arb is None:
         arb, _ = arboricity(g)
+    omega = max_clique_size(g)
     # arboricity is already at least 1 with an edge and 2 with a cycle
-    lb = max(arb, adjacent_conflict_bound(g))
-    if has_triangle(g):
-        lb = max(lb, 3)
-    return lb
+    return max(arb, omega - 1, 3 if omega >= 3 else 0)
 
 
 def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
@@ -380,7 +376,7 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     """Minimum palette of a strongly woody coloring, with certificate.
 
     Iterative deepening from strong_arboricity_lower_bound(g, arb), which
-    combines arboricity, the rainbow-star conflict bound, and the triangle
+    combines arboricity, the rainbow-star bound ω − 1 and the triangle
     rule; arb, when given, must be arboricity(g)[0]. prune=False is the
     oracle mode used by the test suite: no feasibility pruning, full leaf
     verification, deepening from k=1; it raises GuardError at once on
@@ -471,11 +467,11 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
 def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Minimum colors in a proper vertex coloring with no two-colored cycle."""
     order = _vertex_order(g)
-    # a cycle needs three colors, an edge two
+    # a cycle needs three colors; lower() runs only with a vertex, so
+    # ω is at least 1, and 2 with an edge
     return _deepen(
         g, budget, VertexColoring,
-        lambda: max(1, max_clique_size(g),
-                    3 if has_cycle(g) else 2 if g.m else 1),
+        lambda: max(max_clique_size(g), 3 if has_cycle(g) else 1),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
         is_acyclic_vertex, lambda: (g.n, None))
 
@@ -484,7 +480,7 @@ def chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact chromatic number with a certifying proper coloring."""
     order = _vertex_order(g)
     return _deepen(
-        g, budget, VertexColoring, lambda: max(1, max_clique_size(g)),
+        g, budget, VertexColoring, lambda: max_clique_size(g),
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
         lambda c: (is_proper_vertex(c), None), lambda: (g.n, None))
 

@@ -27,8 +27,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        ids: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -36,18 +35,17 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if (u, v) in ids:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v))
+            ids[u, v] = len(ids)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(norm)
+        self.edges: tuple[tuple[int, int], ...] = tuple(ids)
         lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in ids:
             lists[u].append(v)
             lists[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in lists)
-        self._edge_ids = {e: i for i, e in enumerate(norm)}
+        self._edge_ids = ids
         self._nbr_sets = tuple(frozenset(a) for a in self.adj)
 
     @property
@@ -445,7 +443,7 @@ def euler_planar_sanity(g: Graph, triangle_free: bool = False) -> bool:
     return m <= (2 * n - 4 if triangle_free else 3 * n - 6)
 
 
-# small constructors used across tests and the CLI
+# small constructors for the tests, the tools and the benchmark
 
 
 def cycle_graph(n: int) -> Graph:

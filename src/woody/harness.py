@@ -45,8 +45,7 @@ MAX_CHUNK = 32
 @dataclass(frozen=True)
 class HuntConfig:
     conjectures: tuple[str, ...] = ("twoarb", "col", "girth-eq")
-    budget_nodes: int = DEFAULT_BUDGET_NODES
-    budget_seconds: float = DEFAULT_BUDGET_SECONDS
+    budget: Budget = Budget(DEFAULT_BUDGET_NODES, DEFAULT_BUDGET_SECONDS)
     strict: bool = False
     timings: bool = False
     with_chi: bool = False
@@ -113,7 +112,6 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
         g = parse_graph6(line)
     except GraphFormatError as exc:
         return {"graph_id": graph_id, "graph6": line, "error": str(exc)}
-    budget = Budget(config.budget_nodes, config.budget_seconds)
     timing: dict[str, float] = {}
 
     def staged(name, fn):
@@ -127,10 +125,10 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     col, col_order = staged("col", lambda: coloring_number(g))
     chi = None
     if config.with_chi:
-        chi_res = staged("chi", lambda: chromatic_exact(g, budget))
+        chi_res = staged("chi", lambda: chromatic_exact(g, config.budget))
         chi = chi_res.value
-    chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, budget))
-    zeta_res = staged("zeta", lambda: strong_arboricity_exact(g, budget, arb=arb_k))
+    chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, config.budget))
+    zeta_res = staged("zeta", lambda: strong_arboricity_exact(g, config.budget, arb=arb_k))
 
     record: dict = {
         "graph_id": graph_id,
@@ -208,26 +206,28 @@ def replay_coloring_number(g: Graph, order: list[int]) -> int:
     return back + 1
 
 
-def reverify_violation(record: dict, budget: Budget | None = None) -> bool:
+def reverify_violation(record: dict, budget: Budget = HuntConfig.budget) -> bool:
     """Check a violation record using only its own contents.
 
     The upper-bound certificates (forest decomposition, vertex ordering)
     are replayed, and the strong arboricity lower bound is re-established
-    by an independent solver run.
+    by an independent solver run. A malformed record (a graph6 that does
+    not parse, a witness field missing or of the wrong form) is False.
     """
     witness = record.get("witness")
     if not witness:
         return False
-    g = parse_graph6(record["graph6"])
-    decomp = ForestDecomposition(
-        g, tuple(witness["arb_assignment"]), witness["num_forests"])
-    if not decomp.is_valid():
+    try:
+        g = parse_graph6(record["graph6"])
+        decomp = ForestDecomposition(
+            g, tuple(witness["arb_assignment"]), witness["num_forests"])
+        if not decomp.is_valid():
+            return False
+        col_upper = replay_coloring_number(g, witness["col_order"])
+        replayed = {"arb": decomp.num_forests, "col": col_upper}
+        worst = max(conjecture_bound(name, replayed) for name in witness["conjectures"])
+    except (KeyError, TypeError, ValueError):  # GraphFormatError is a ValueError
         return False
-    col_upper = replay_coloring_number(g, witness["col_order"])
-    replayed = {"arb": decomp.num_forests, "col": col_upper}
-    worst = max(conjecture_bound(name, replayed) for name in witness["conjectures"])
-    if budget is None:
-        budget = Budget(DEFAULT_BUDGET_NODES, DEFAULT_BUDGET_SECONDS)
     res = strong_arboricity_exact(g, budget)
     return res.lower > worst
 
@@ -251,7 +251,6 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
              log=lambda msg: print(msg, file=sys.stderr)) -> HuntOutcome:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    budget = Budget(config.budget_nodes, config.budget_seconds)
     tasks = [(p, ln, text, config) for p, ln, text in iter_corpus(paths)]
     outcome = HuntOutcome()
 
@@ -264,7 +263,7 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
             return False
         outcome.records.append(rec)
         if any(v == "violated" for v in rec["flags"].values()):
-            if not reverify_violation(rec, budget):
+            if not reverify_violation(rec, config.budget):
                 raise AssertionError(
                     f"{rec['graph_id']}: violation record failed re-verification")
             outcome.violations.append(rec)

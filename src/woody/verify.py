@@ -131,35 +131,28 @@ class BrokenCycleWitness:
         if any(coloring.colors[e] != self.color for e in self.path_edges):
             return False
         verts = self.vertices
+        if len(set(verts)) != len(verts):
+            return False
         if self.kind == "monochromatic_cycle":
             if len(self.path_edges) != len(verts) or len(verts) < 3:
                 return False
-            if self.closing_edge is not None:
-                return False
-            if len(set(verts)) != len(verts):
-                return False
-            ring = list(verts) + [verts[0]]
-            for i, e in enumerate(self.path_edges):
-                u, v = g.edges[e]
-                if {u, v} != {ring[i], ring[i + 1]}:
-                    return False
-            return True
+            return self.closing_edge is None and _edges_follow(g, self.path_edges, verts)
         if self.kind == "monochromatic_broken_cycle":
             if len(self.path_edges) < 2 or len(verts) != len(self.path_edges) + 1:
                 return False
-            if len(set(verts)) != len(verts):
-                return False
-            for i, e in enumerate(self.path_edges):
-                u, v = g.edges[e]
-                if {u, v} != {verts[i], verts[i + 1]}:
-                    return False
             if self.closing_edge is None or self.closing_edge in self.path_edges:
                 return False
-            cu, cv = g.edges[self.closing_edge]
-            if {cu, cv} != {verts[0], verts[-1]}:
-                return False
-            return coloring.colors[self.closing_edge] != self.color
+            # the path and its closing edge run round one cycle
+            return (_edges_follow(g, (*self.path_edges, self.closing_edge), verts)
+                    and coloring.colors[self.closing_edge] != self.color)
         return False
+
+
+def _edges_follow(g: Graph, edges, verts) -> bool:
+    """Whether edge i of edges joins verts[i] to the next vertex, the last
+    vertex back to the first."""
+    ring = (*verts, verts[0])
+    return all({*g.edges[e]} == {ring[i], ring[i + 1]} for i, e in enumerate(edges))
 
 
 @dataclass(frozen=True)
@@ -185,14 +178,9 @@ class BicoloredCycleWitness:
             return False
         if {coloring.colors[v] for v in verts} != set(self.colors):
             return False
-        ring = list(verts) + [verts[0]]
         if len(self.edges) != len(verts):
             return False
-        for i, e in enumerate(self.edges):
-            u, v = g.edges[e]
-            if {u, v} != {ring[i], ring[i + 1]}:
-                return False
-        return True
+        return _edges_follow(g, self.edges, verts)
 
 
 def _require_total(c) -> None:

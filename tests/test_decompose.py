@@ -392,7 +392,3 @@ class TestForestDecompositionType:
         g = cycle_graph(3)
         assert not ForestDecomposition(g, (0, 0, 0), 1).is_valid()
         assert ForestDecomposition(g, (0, 0, 1), 2).is_valid()
-
-    def test_serialization(self):
-        g = cycle_graph(3)
-        assert ForestDecomposition(g, (0, 0, 1), 2).to_json() == [0, 0, 1]

@@ -10,7 +10,6 @@ from woody.errors import GuardError
 from woody.exact import (
     Budget,
     acyclic_chromatic_exact,
-    adjacent_conflict_bound,
     chromatic_exact,
     chromatic_index_exact,
     find_forest_2independent_partition,
@@ -271,12 +270,14 @@ class TestDisconnectedInputs:
 
 
 class TestLowerBounds:
-    def test_adjacent_conflict_bound_on_cliques(self):
-        assert adjacent_conflict_bound(complete_graph(6)) == 5
-        assert adjacent_conflict_bound(complete_graph(3)) == 2
-        assert adjacent_conflict_bound(cycle_graph(5)) == 1
-        assert adjacent_conflict_bound(star_graph(5)) == 1
-        assert adjacent_conflict_bound(Graph(2, [])) == 0
+    def test_lower_bound_on_cliques(self):
+        # (the rainbow-star term ω − 1, the whole bound): C5's bound is its
+        # arboricity, K3's the triangle rule
+        cases = [(complete_graph(6), 5, 5), (complete_graph(3), 2, 3),
+                 (cycle_graph(5), 1, 2), (star_graph(5), 1, 1), (Graph(2, []), 0, 0)]
+        for g, star, bound in cases:
+            assert max_clique_size(g) - 1 == star
+            assert strong_arboricity_lower_bound(g) == bound
 
     def test_max_clique(self):
         assert max_clique_size(complete_graph(7)) == 7
@@ -314,16 +315,39 @@ class TestLowerBounds:
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
             subset = rng.sample(range(n), rng.randint(25, n))
-            assert max_clique_size(g) == full_scan(g, range(n))
+            # a whole graph takes the neighbourhood scan, which does at
+            # least as well as greedy from every start
+            assert max_clique_size(g) >= full_scan(g, range(n))
             assert max_clique_size(g, subset) == full_scan(g, subset)
+
+    def test_whole_graph_clique_number_matches_networkx(self):
+        # past 24 vertices a whole graph's ω is 1 + the largest clique inside
+        # a neighbourhood, exact while no degree exceeds 24
+        import networkx as nx
+
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 80:
+            n = rng.randint(25, 60)
+            p = rng.uniform(0.1, 0.6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            if max(map(g.degree, range(n))) > 24:
+                continue
+            oracle = nx.empty_graph(n)
+            oracle.add_edges_from(g.edges)
+            assert max_clique_size(g) == max(map(len, nx.find_cliques(oracle))), g.edges
+            checked += 1
 
     def test_conflict_bound_on_a_hub_over_a_large_grid(self):
         # the hub's 3,600 neighbours take the greedy clique branch; growing
-        # each start vertex's clique from its own neighbours keeps it fast
+        # each start vertex's clique from its own neighbours keeps it fast.
+        # ω − 1 = 3, and the arboricity, 4, is the bound
         grid = grid_graph(60, 60, triangulated=True)
         g = Graph(grid.n + 1, list(grid.edges) + [(v, grid.n) for v in range(grid.n)])
         t0 = time.perf_counter()
-        assert adjacent_conflict_bound(g) == 3
+        assert max_clique_size(g) == 4
+        assert strong_arboricity_lower_bound(g) == 4
         assert time.perf_counter() - t0 < 1.0
 
 

@@ -6,6 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from woody.errors import WorkerCrashError
+from woody.exact import Budget
 from woody.graphs import (
     complete_graph,
     cycle_graph,
@@ -105,7 +106,8 @@ class TestReplayAndReverify:
         with pytest.raises(ValueError):
             replay_coloring_number(g, [0, 1, 2, 2])
 
-    def test_reverify_true_violation_style_record(self):
+    @staticmethod
+    def k5_record():
         # K5 has zeta 5 > 4, so a planar4-style claim re-verifies even
         # though K5 would normally be filtered by the sanity gate.
         # Certificates are edge-indexed, so they must be computed against
@@ -116,7 +118,7 @@ class TestReplayAndReverify:
 
         k, decomp = arboricity(g)
         col, order = coloring_number(g)
-        record = {
+        return {
             "graph6": encode_graph6(g),
             "witness": {
                 "conjectures": ["planar4"],
@@ -126,7 +128,26 @@ class TestReplayAndReverify:
                 "col_order": list(order),
             },
         }
-        assert reverify_violation(record)
+
+    def test_reverify_true_violation_style_record(self):
+        assert reverify_violation(self.k5_record())
+
+    @pytest.mark.parametrize("field, value", [
+        ("graph6", "D~"),  # too short for five vertices
+        ("arb_assignment", ["0"] * 10),
+        ("arb_assignment", None),
+        ("num_forests", "3"),
+        ("col_order", [0, 1, 2, 3, 3]),  # not a permutation
+        ("col_order", ["a"] * 5),
+        ("conjectures", ["planar5"]),
+    ])
+    def test_reverify_rejects_a_malformed_record(self, field, value):
+        record = self.k5_record()
+        if field == "graph6":
+            record["graph6"] = value
+        else:
+            record["witness"][field] = value
+        assert not reverify_violation(record)
 
     def test_connected_n7_violations_reverify(self):
         # graphs with m <= 3n - 6 that hold a K5 pass the Euler gate, so
@@ -285,7 +306,6 @@ class TestRunHunt:
         import dataclasses
 
         import woody.harness as H
-        from woody.exact import Budget
 
         monkeypatch.setattr(H, "conjecture_bound", lambda name, record: 0)
         budgets = []
@@ -299,8 +319,7 @@ class TestRunHunt:
         monkeypatch.setattr(H, "strong_arboricity_exact", spy)
         f = tmp_path / "k4.g6"
         f.write_text(encode_graph6(complete_graph(4)) + "\n")
-        config = HuntConfig(conjectures=("twoarb",), budget_nodes=12_345_678,
-                            budget_seconds=42.0)
+        config = HuntConfig(conjectures=("twoarb",), budget=Budget(12_345_678, 42.0))
         outcome = run_hunt([str(f)], config, jobs=1)
         assert outcome.exit_code == 10
         # one solve in hunt_graph, one in the re-verification
@@ -382,10 +401,10 @@ class TestRunHunt:
             run_hunt([str(corpus)], DEFAULT, jobs=2)
         assert info.value.graph_id == f"{corpus}:40"
 
+    # the budget part of each config; a bad budget fails on construction,
+    # before the config or any worker exists
     @pytest.mark.parametrize("config", [
-        HuntConfig(budget_seconds=float("nan")),
-        HuntConfig(budget_seconds=0.0),
-        HuntConfig(budget_nodes=0),
+        {"max_seconds": float("nan")}, {"max_seconds": 0.0}, {"max_nodes": 0},
     ])
     def test_bad_budget_fails_before_any_worker(self, fake_pool, monkeypatch, config):
         import woody.harness as H
@@ -395,7 +414,8 @@ class TestRunHunt:
 
         monkeypatch.setattr(H, "hunt_graph", no_graph)
         with pytest.raises(ValueError, match="budget"):
-            run_hunt([str(DATA / "planar_connected_n7.g6")], config, jobs=2)
+            run_hunt([str(DATA / "planar_connected_n7.g6")],
+                     HuntConfig(budget=Budget(**config)), jobs=2)
         assert fake_pool == []
 
     def test_no_more_workers_than_chunks(self, fake_pool, tmp_path):
