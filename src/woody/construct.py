@@ -111,13 +111,15 @@ def product_coloring(g: Graph, a: EdgeColoring, b: EdgeColoring) -> EdgeColoring
     return EdgeColoring(g, colors)
 
 
-def degeneracy_greedy_vertex_coloring(g: Graph) -> VertexColoring:
+def degeneracy_greedy_vertex_coloring(g: Graph, col: tuple[int, list[int]] | None = None
+                                      ) -> VertexColoring:
     """Proper coloring greedily along the degeneracy ordering.
 
     Uses at most coloring_number(g) colors since each vertex sees fewer
-    than that many earlier neighbors.
+    than that many earlier neighbors. col, when given, must be
+    coloring_number(g).
     """
-    col, order = coloring_number(g)
+    col, order = col or coloring_number(g)
     colors: list[int | None] = [None] * g.n
     for v in order:
         used = {colors[w] for w in g.adj[v] if colors[w] is not None}
@@ -145,12 +147,13 @@ def arboricity_square_coloring(g: Graph) -> EdgeColoring:
 
 def _square_coloring(g: Graph) -> tuple[int, EdgeColoring]:
     """arboricity_square_coloring together with the arboricity it found."""
-    ell, decomp = arboricity(g)
+    col = coloring_number(g)  # the arboricity seed and the greedy's order
+    ell, decomp = arboricity(g, col)
     shaded = depth_parity_shading(decomp)
     if not has_triangle(g):
         result = shaded
     else:
-        f = degeneracy_greedy_vertex_coloring(g)
+        f = degeneracy_greedy_vertex_coloring(g, col)
         chi = f.palette_size
         derived = derived_coloring(g, f, chi)
         result = product_coloring(g, derived, shaded)

@@ -227,7 +227,8 @@ class _Partitioner:
         return False
 
 
-def arboricity(g: Graph) -> tuple[int, ForestDecomposition]:
+def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
+               ) -> tuple[int, ForestDecomposition]:
     """Minimum number of forests partitioning the edges, with a certificate.
 
     Seed (Matula & Beck): in the coloring_number order every edge is owned
@@ -240,12 +241,15 @@ def arboricity(g: Graph) -> tuple[int, ForestDecomposition]:
     the exchange search (Edmonds' matroid partition), which places the
     later slots' edges in index order; a failed search proves the current
     k infeasible, so k is incremented and the search resumes.
+
+    col, when given, must be coloring_number(g); a caller that already has
+    it spares a second pass.
     """
     m, n, edges = g.m, g.n, g.edges
     if m == 0:
         return 0, ForestDecomposition(g, (), 0)
     k = max(1, -((-m) // (n - 1)))
-    r, order = coloring_number(g)
+    r, order = col or coloring_number(g)
     rank = {v: i for i, v in enumerate(order)}
     owned = [0] * n
     slot = []

@@ -144,25 +144,24 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
 def max_clique_size(g: Graph, vertices=None) -> int:
     """Clique number ω of g, or of the subgraph induced by `vertices`.
 
-    Exact branch and bound on up to 24 vertices. A whole graph on more is
-    1 + the largest clique inside some N(v), as a maximum clique lies in
-    N(v) plus v for each of its vertices v: exact while no degree exceeds
-    24. A larger subset, such as a hub's neighbourhood, takes one greedy
-    clique per start vertex; that is still a clique, hence a sound lower
-    bound wherever this feeds one.
+    Exact branch and bound on vertex bitsets, built from the members
+    alone, on up to 24 vertices. A whole graph on more is 1 + the largest
+    clique inside some N(v), as a maximum clique lies in N(v) plus v for
+    each of its vertices v: exact while no degree exceeds 24. A larger
+    subset, such as a hub's neighbourhood, takes one greedy clique per
+    start vertex; that is still a clique, hence a sound lower bound
+    wherever this feeds one.
     """
-    verts = sorted(range(g.n) if vertices is None else vertices)
-    if not verts:
-        return 0
+    verts = range(g.n) if vertices is None else sorted(vertices)
     if vertices is None and len(verts) > 24:
         best = 0
         for nb in g.adj:
             if len(nb) > best:
                 best = max(best, max_clique_size(g, nb))
         return best + 1
-    nbr = {v: g.neighbor_set(v) for v in verts}
     if len(verts) > 24:
         # one greedy clique per start vertex, grown from its neighbours only
+        nbr = {v: g.neighbor_set(v) for v in verts}
         vset = set(verts)
         best = 0
         for v in verts:  # the maximum over all starts needs no order
@@ -172,30 +171,33 @@ def max_clique_size(g: Graph, vertices=None) -> int:
                     clique.add(w)
             best = max(best, len(clique))
         return best
-    return _grow_clique(nbr, verts, 0, 0)
+    bit = {v: 1 << j for j, v in enumerate(verts)}
+    # the intersection runs over bit, never over a hub's neighbours
+    adj = [sum(map(bit.get, g.neighbor_set(v).intersection(bit))) for v in verts]
+    return _grow_clique(adj, (1 << len(verts)) - 1, 0, 0)
 
 
-def _grow_clique(nbr: dict, cand: list[int], size: int, best: int) -> int:
-    # branch and bound: the largest of best and size + a clique in cand; a
-    # module function, as a recursive closure is a reference cycle that
-    # every call would leave to the cyclic garbage collector
-    best = max(best, size)
-    for i, v in enumerate(cand):
-        if size + len(cand) - i <= best:
-            break
-        best = _grow_clique(nbr, [w for w in cand[i + 1:] if w in nbr[v]], size + 1, best)
-    return best
+def _grow_clique(adj: list[int], cand: int, size: int, best: int) -> int:
+    # the largest of best and size + a clique inside the bitset cand, cut
+    # once size + popcount(cand) cannot beat best; a module function, as a
+    # recursive closure is a reference cycle that every call would leave to
+    # the cyclic garbage collector
+    while cand and size + cand.bit_count() > best:
+        low = cand & -cand
+        cand ^= low
+        best = _grow_clique(adj, cand & adj[low.bit_length() - 1], size + 1, best)
+    return max(best, size)
 
 
 def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
-    """Arboricity, the rainbow-star bound ω − 1 and the triangle rule.
+    """Arboricity and χ′(K_ω): ω when ω is odd, ω − 1 when it is even.
 
-    Edges vu and vw need distinct colors whenever uw is an edge too: the
-    path u, v, w and its closing edge uw form a broken cycle. So the star
-    from v into a clique inside N(v) is rainbow. A clique inside N(v) plus
-    v is a clique, and a maximum clique minus any of its vertices v lies
-    in N(v), so the largest such star has ω − 1 edges. The three edges of
-    a triangle conflict pairwise, so ω ≥ 3 needs three colors.
+    Inside a clique every color class is a matching. Two edges vu and vw
+    of one color c meet the clique edge uw: if uw has color c the three
+    close a monochromatic triangle, and if not the path u, v, w and uw
+    form a broken cycle. So the ω(ω − 1)/2 edges of a maximum clique need
+    χ′(K_ω) colors: ω − 1 meet at each vertex, and when ω is odd K_ω has
+    no perfect matching, so a class holds at most (ω − 1)/2 of them.
 
     arb, when given, must be arboricity(g)[0]; a caller that already has
     it spares a second decomposition.
@@ -205,8 +207,7 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
     if arb is None:
         arb, _ = arboricity(g)
     omega = max_clique_size(g)
-    # arboricity is already at least 1 with an edge and 2 with a cycle
-    return max(arb, omega - 1, 3 if omega >= 3 else 0)
+    return max(arb, omega - 1 + omega % 2)
 
 
 def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
@@ -375,13 +376,14 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
                             ) -> SolveResult:
     """Minimum palette of a strongly woody coloring, with certificate.
 
-    Iterative deepening from strong_arboricity_lower_bound(g, arb), which
-    combines arboricity, the rainbow-star bound ω − 1 and the triangle
-    rule; arb, when given, must be arboricity(g)[0]. prune=False is the
-    oracle mode used by the test suite: no feasibility pruning, full leaf
-    verification, deepening from k=1; it raises GuardError at once on
-    graphs with more than ORACLE_MAX_EDGES edges. On budget exhaustion the
-    square pipeline's coloring is the reported upper bound.
+    Iterative deepening from strong_arboricity_lower_bound(g, arb), the
+    larger of arboricity and χ′(K_ω), as every color class is a matching
+    inside a clique; arb, when given, must be arboricity(g)[0].
+    prune=False is the oracle mode used by the test suite: no feasibility
+    pruning, full leaf verification, deepening from k=1; it raises
+    GuardError at once on graphs with more than ORACLE_MAX_EDGES edges.
+    On budget exhaustion the square pipeline's coloring is the reported
+    upper bound.
     """
     if not prune and g.m > ORACLE_MAX_EDGES:
         raise GuardError(
@@ -464,14 +466,27 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
     return _search_colors(colors, mask, k, order, ticker, assign)
 
 
+def acyclic_chromatic_lower_bound(g: Graph) -> int:
+    """ω, 3 when g has a cycle, and the pair-forest count.
+
+    Any two classes of an acyclic coloring induce a forest (Alon,
+    McDiarmid & Reed 1991), so k nonempty classes of sizes n_i hold at
+    most Σ_{i<j} (n_i + n_j − 1) = (k − 1)n − k(k − 1)/2 edges: k is at
+    least the least k with (k − 1)(2n − k) ≥ 2m. The count rises with k
+    up to n, where it always holds.
+    """
+    k = max(max_clique_size(g), 3 if has_cycle(g) else 0)
+    while (k - 1) * (2 * g.n - k) < 2 * g.m:
+        k += 1
+    return k
+
+
 def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
-    """Minimum colors in a proper vertex coloring with no two-colored cycle."""
+    """Minimum colors in a proper vertex coloring with no two-colored
+    cycle, by iterative deepening from acyclic_chromatic_lower_bound(g)."""
     order = _vertex_order(g)
-    # a cycle needs three colors; lower() runs only with a vertex, so
-    # ω is at least 1, and 2 with an edge
     return _deepen(
-        g, budget, VertexColoring,
-        lambda: max(max_clique_size(g), 3 if has_cycle(g) else 1),
+        g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
         is_acyclic_vertex, lambda: (g.n, None))
 

@@ -121,8 +121,8 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
         return out
 
     gir = staged("girth", lambda: girth(g))
-    arb_k, decomp = staged("arb", lambda: arboricity(g))
     col, col_order = staged("col", lambda: coloring_number(g))
+    arb_k, decomp = staged("arb", lambda: arboricity(g, (col, col_order)))
     chi = None
     if config.with_chi:
         chi_res = staged("chi", lambda: chromatic_exact(g, config.budget))

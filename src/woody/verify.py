@@ -320,26 +320,26 @@ def enumerate_cycles(g: Graph, max_length: int | None = None) -> Iterator[tuple[
     """
     adj = g.adj
     on_path = [False] * g.n
-    path: list[int] = []
-
-    def extend(root: int, u: int):
-        for w in adj[u]:
-            if w == root:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    yield tuple(path)
-            elif w > root and not on_path[w]:
-                if max_length is None or len(path) < max_length:
-                    path.append(w)
-                    on_path[w] = True
-                    yield from extend(root, w)
-                    path.pop()
-                    on_path[w] = False
-
     for root in range(g.n):
+        # the depth-first walk from root over larger vertices; stack holds
+        # one neighbour iterator per vertex of path
         path = [root]
         on_path[root] = True
-        yield from extend(root, root)
-        on_path[root] = False
+        stack = [iter(adj[root])]
+        while stack:
+            for w in stack[-1]:
+                if w == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        yield tuple(path)
+                elif w > root and not on_path[w] and (
+                        max_length is None or len(path) < max_length):
+                    path.append(w)
+                    on_path[w] = True
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
 
 
 def cycle_edge_ids(g: Graph, cycle: Sequence[int]) -> list[int]:

@@ -144,9 +144,9 @@ class TestColorCommand:
         calls = []
         real = woody.construct.arboricity
 
-        def counted(g):
+        def counted(g, *col):
             calls.append(g.m)
-            return real(g)
+            return real(g, *col)
 
         for module in (woody.construct, woody.cli):
             monkeypatch.setattr(module, "arboricity", counted)

@@ -208,6 +208,24 @@ class TestSquarePipeline:
         c = arboricity_square_coloring(Graph(3, []))
         assert c.palette_size == 0
 
+    def test_coloring_number_runs_once(self, monkeypatch):
+        # one smallest-last order seeds arboricity and orders the greedy
+        import woody.construct
+        import woody.decompose
+        import woody.graphs
+
+        calls = []
+
+        def counted(g):
+            calls.append(g.m)
+            return woody.graphs.coloring_number(g)
+
+        for module in (woody.construct, woody.decompose):
+            monkeypatch.setattr(module, "coloring_number", counted)
+        for g in (complete_graph(5), grid_graph(3, 3)):  # with and without a triangle
+            assert is_strongly_woody(arboricity_square_coloring(g))[0]
+        assert calls == [10, 12]
+
     def test_corpus_bounds(self, connected_n6):
         for g in connected_n6[::3]:
             ell = arboricity(g)[0]

@@ -10,6 +10,7 @@ from woody.errors import GuardError
 from woody.exact import (
     Budget,
     acyclic_chromatic_exact,
+    acyclic_chromatic_lower_bound,
     chromatic_exact,
     chromatic_index_exact,
     find_forest_2independent_partition,
@@ -128,22 +129,25 @@ class TestStrongArboricity:
 
     def test_search_tree_is_pinned(self):
         # node counts of the pruned search (forward-checked, most constrained
-        # edge first); a change to its pruning or its edge order must update
-        # these on purpose and say why
+        # edge first) from the static lower bounds; a change to its pruning,
+        # its edge order or a bound must update these on purpose and say
+        # why. The deepening starts at ζ ≥ χ′(K_ω) and at the pair-forest
+        # count of χ_a, so the levels those refute by counting are not
+        # searched: K7 starts at 7 and not 6, K4,5 at χ_a ≥ 4 and K5,5 at 5
         assert strong_arboricity_exact(complete_bipartite(4, 5)).nodes == 380
         assert strong_arboricity_exact(complete_bipartite(4, 6)).nodes == 384
         assert strong_arboricity_exact(complete_bipartite(5, 5)).nodes == 395
-        assert strong_arboricity_exact(complete_graph(7)).nodes == 952
+        assert strong_arboricity_exact(complete_graph(7)).nodes == 262
         assert strong_arboricity_exact(petersen_graph()).nodes == 423
-        for name, total in (("connected_n6.g6", 1_109), ("connected_n7.g6", 13_330)):
+        for name, total in (("connected_n6.g6", 1_061), ("connected_n7.g6", 11_787)):
             nodes = sum(strong_arboricity_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
         # χ_a on the same search (most constrained vertex first)
-        assert acyclic_chromatic_exact(complete_bipartite(4, 5)).nodes == 30
-        assert acyclic_chromatic_exact(complete_bipartite(5, 5)).nodes == 45
+        assert acyclic_chromatic_exact(complete_bipartite(4, 5)).nodes == 24
+        assert acyclic_chromatic_exact(complete_bipartite(5, 5)).nodes == 28
         assert acyclic_chromatic_exact(complete_graph(7)).nodes == 7
         assert acyclic_chromatic_exact(petersen_graph()).nodes == 61
-        for name, total in (("connected_n6.g6", 816), ("connected_n7.g6", 7_977)):
+        for name, total in (("connected_n6.g6", 768), ("connected_n7.g6", 7_393)):
             nodes = sum(acyclic_chromatic_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
         # the oracle enumerates every canonical coloring in edge order
@@ -271,13 +275,46 @@ class TestDisconnectedInputs:
 
 class TestLowerBounds:
     def test_lower_bound_on_cliques(self):
-        # (the rainbow-star term ω − 1, the whole bound): C5's bound is its
-        # arboricity, K3's the triangle rule
-        cases = [(complete_graph(6), 5, 5), (complete_graph(3), 2, 3),
-                 (cycle_graph(5), 1, 2), (star_graph(5), 1, 1), (Graph(2, []), 0, 0)]
-        for g, star, bound in cases:
-            assert max_clique_size(g) - 1 == star
+        # (ω, the whole bound): C5's bound is its arboricity, a star's is 1
+        cases = [(complete_graph(6), 6, 5), (complete_graph(3), 3, 3),
+                 (cycle_graph(5), 2, 2), (star_graph(5), 2, 1), (Graph(2, []), 1, 0)]
+        for g, omega, bound in cases:
+            assert max_clique_size(g) == omega
             assert strong_arboricity_lower_bound(g) == bound
+        # χ′(K_q): q colors for odd q, q − 1 for even q, above arboricity
+        # ceil(q / 2) from q = 3 on
+        for q in range(2, 9):
+            assert strong_arboricity_lower_bound(complete_graph(q)) == q - 1 + q % 2
+
+    def test_pair_forest_count(self):
+        # K_{a,b}: ω = 2 and a cycle give 3; the count gives the least k
+        # with (k − 1)(2(a + b) − k) ≥ 2ab. Both meet χ_a = min(a, b) + 1
+        # on K2,3 and K3,3 and stay below it from K4,5 on
+        for (a, b), bound in (((2, 3), 3), ((3, 3), 3), ((4, 5), 4), ((4, 6), 4),
+                              ((5, 5), 5), ((6, 6), 5), ((7, 7), 6)):
+            assert acyclic_chromatic_lower_bound(complete_bipartite(a, b)) == bound
+        assert acyclic_chromatic_lower_bound(complete_graph(7)) == 7
+        assert acyclic_chromatic_lower_bound(Graph(0, [])) == 0
+        assert acyclic_chromatic_lower_bound(Graph(3, [])) == 1
+        # a triangle among isolated vertices: the count alone gives 2
+        assert acyclic_chromatic_lower_bound(Graph(10, [(0, 1), (1, 2), (0, 2)])) == 3
+
+    def test_bounds_are_sound_on_the_corpora(self):
+        # each bound b is at most the exact value: the search finds no
+        # coloring with b − 1 colors, on every graph of these corpora
+        graphs = [g for name in [f"connected_n{i}.g6" for i in range(1, 8)]
+                  + ["planar_connected_n8.g6", "triangle_free_planar_upto12.g6"]
+                  for g in corpus_graphs(name)]
+        ticker = woody.exact._Ticker(None, 0.0)
+        for g in graphs:
+            zeta = strong_arboricity_lower_bound(g)
+            if zeta > 1:
+                order = woody.exact._edge_order(g)
+                assert woody.exact._search_strongly_woody(g, zeta - 1, order, ticker) is None
+            chi_a = acyclic_chromatic_lower_bound(g)
+            if chi_a > 1:
+                order = woody.exact._vertex_order(g)
+                assert woody.exact._search_acyclic(g, chi_a - 1, order, ticker) is None
 
     def test_max_clique(self):
         assert max_clique_size(complete_graph(7)) == 7
@@ -339,10 +376,31 @@ class TestLowerBounds:
             assert max_clique_size(g) == max(map(len, nx.find_cliques(oracle))), g.edges
             checked += 1
 
+    def test_bitset_clique_number_matches_networkx(self):
+        # up to 24 vertices, on whole graphs and on vertex subsets of
+        # larger ones
+        import networkx as nx
+
+        rng = random.Random(1729)
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            subset = rng.sample(range(n), rng.randint(0, min(n, 24)))
+            oracle = nx.empty_graph(n)
+            oracle.add_edges_from(g.edges)
+            if n <= 24:
+                assert max_clique_size(g) == max(map(len, nx.find_cliques(oracle)))
+            assert max_clique_size(g, subset) == max(
+                map(len, nx.find_cliques(oracle.subgraph(subset))), default=0)
+
     def test_conflict_bound_on_a_hub_over_a_large_grid(self):
         # the hub's 3,600 neighbours take the greedy clique branch; growing
-        # each start vertex's clique from its own neighbours keeps it fast.
-        # ω − 1 = 3, and the arboricity, 4, is the bound
+        # each start vertex's clique from its own neighbours keeps it fast,
+        # and every other neighbourhood holds the hub, whose bitset is built
+        # from that neighbourhood alone. χ′(K4) = 3, and the arboricity, 4,
+        # is the bound
         grid = grid_graph(60, 60, triangulated=True)
         g = Graph(grid.n + 1, list(grid.edges) + [(v, grid.n) for v in range(grid.n)])
         t0 = time.perf_counter()

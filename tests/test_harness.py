@@ -226,12 +226,31 @@ class TestRunHunt:
 
         calls = []
 
-        def counted(g):
+        def counted(g, *col):
             calls.append(g)
-            return woody.decompose.arboricity(g)
+            return woody.decompose.arboricity(g, *col)
 
         for module in (woody.harness, woody.exact, woody.construct):
             monkeypatch.setattr(module, "arboricity", counted)
+        outcome = run_hunt([str(DATA / "planar_connected_n6.g6")], DEFAULT, jobs=1)
+        assert outcome.exit_code == 0
+        assert len(outcome.records) == len(calls) == 99
+
+    def test_coloring_number_runs_once_per_hunted_graph(self, monkeypatch):
+        # the col column's order also seeds arboricity
+        import woody.construct
+        import woody.decompose
+        import woody.graphs
+        import woody.harness
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return woody.graphs.coloring_number(g)
+
+        for module in (woody.harness, woody.decompose, woody.construct):
+            monkeypatch.setattr(module, "coloring_number", counted)
         outcome = run_hunt([str(DATA / "planar_connected_n6.g6")], DEFAULT, jobs=1)
         assert outcome.exit_code == 0
         assert len(outcome.records) == len(calls) == 99

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -324,6 +325,26 @@ class TestCycleEnumeration:
     def test_max_length_filter(self, n):
         g = complete_graph(n)
         assert all(len(c) <= 4 for c in enumerate_cycles(g, max_length=4))
+
+    def test_depth_first_order(self):
+        assert list(enumerate_cycles(complete_graph(4))) == [
+            (0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 1, 3, 2), (0, 2, 1, 3),
+            (0, 2, 3), (1, 2, 3)]
+        assert list(enumerate_cycles(complete_graph(4), max_length=3)) == [
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+    def test_leaves_no_garbage_cycles(self):
+        # a recursive closure per call would be a reference cycle that only
+        # the cyclic collector frees
+        gc.collect()
+        gc.disable()
+        try:
+            assert sum(1 for _ in enumerate_cycles(complete_graph(5))) == 37
+            assert sum(1 for _ in enumerate_cycles(cycle_graph(6), max_length=4)) == 0
+            assert next(enumerate_cycles(complete_graph(5))) == (0, 1, 2)  # abandoned
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
