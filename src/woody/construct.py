@@ -34,7 +34,7 @@ def derived_coloring(g: Graph, f: VertexColoring, k: int) -> EdgeColoring:
         raise ValueError("vertex coloring belongs to a different graph")
     if not f.total:
         raise ValueError("vertex coloring must be total")
-    if k < 1:
+    if k < 1 and f.colors:  # the 0-vertex graph has χ = χ_a = 0
         raise ValueError("palette size must be positive")
     for v, c in enumerate(f.colors):
         if c >= k:

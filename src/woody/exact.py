@@ -189,7 +189,8 @@ def _grow_clique(adj: list[int], cand: int, size: int, best: int) -> int:
     return max(best, size)
 
 
-def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
+def strong_arboricity_lower_bound(g: Graph, arb: int | None = None,
+                                  omega: int | None = None) -> int:
     """Arboricity and χ′(K_ω): ω when ω is odd, ω − 1 when it is even.
 
     Inside a clique every color class is a matching. Two edges vu and vw
@@ -199,14 +200,16 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None) -> int:
     χ′(K_ω) colors: ω − 1 meet at each vertex, and when ω is odd K_ω has
     no perfect matching, so a class holds at most (ω − 1)/2 of them.
 
-    arb, when given, must be arboricity(g)[0]; a caller that already has
-    it spares a second decomposition.
+    arb and omega, when given, must be arboricity(g)[0] and
+    max_clique_size(g); a caller that already has them spares a second
+    decomposition and clique search.
     """
     if g.m == 0:
         return 0
     if arb is None:
         arb, _ = arboricity(g)
-    omega = max_clique_size(g)
+    if omega is None:
+        omega = max_clique_size(g)
     return max(arb, omega - 1 + omega % 2)
 
 
@@ -372,13 +375,13 @@ def _search_proper(adj, k: int, order: list[int], ticker: _Ticker,
 
 
 def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
-                            prune: bool = True, arb: int | None = None
-                            ) -> SolveResult:
+                            prune: bool = True, arb: int | None = None,
+                            omega: int | None = None) -> SolveResult:
     """Minimum palette of a strongly woody coloring, with certificate.
 
     Iterative deepening from strong_arboricity_lower_bound(g, arb), the
     larger of arboricity and χ′(K_ω), as every color class is a matching
-    inside a clique; arb, when given, must be arboricity(g)[0].
+    inside a clique; arb and omega are passed on to it.
     prune=False is the oracle mode used by the test suite: no feasibility
     pruning, full leaf verification, deepening from k=1; it raises
     GuardError at once on graphs with more than ORACLE_MAX_EDGES edges.
@@ -401,7 +404,7 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     # each leaf: the proper coloring search on m vertices and no edges
     return _deepen(
         g, budget, EdgeColoring,
-        lambda: strong_arboricity_lower_bound(g, arb) if prune else 1,
+        lambda: strong_arboricity_lower_bound(g, arb, omega) if prune else 1,
         lambda k, ticker: _search_strongly_woody(g, k, order, ticker) if prune
         else _search_proper([()] * g.m, k, order, ticker, leaf),
         is_strongly_woody, fallback)
@@ -466,36 +469,43 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
     return _search_colors(colors, mask, k, order, ticker, assign)
 
 
-def acyclic_chromatic_lower_bound(g: Graph) -> int:
+def acyclic_chromatic_lower_bound(g: Graph, omega: int | None = None) -> int:
     """ω, 3 when g has a cycle, and the pair-forest count.
 
     Any two classes of an acyclic coloring induce a forest (Alon,
     McDiarmid & Reed 1991), so k nonempty classes of sizes n_i hold at
     most Σ_{i<j} (n_i + n_j − 1) = (k − 1)n − k(k − 1)/2 edges: k is at
     least the least k with (k − 1)(2n − k) ≥ 2m. The count rises with k
-    up to n, where it always holds.
+    up to n, where it always holds. omega, when given, must be
+    max_clique_size(g).
     """
-    k = max(max_clique_size(g), 3 if has_cycle(g) else 0)
+    if omega is None:
+        omega = max_clique_size(g)
+    k = max(omega, 3 if has_cycle(g) else 0)
     while (k - 1) * (2 * g.n - k) < 2 * g.m:
         k += 1
     return k
 
 
-def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
-    """Minimum colors in a proper vertex coloring with no two-colored
-    cycle, by iterative deepening from acyclic_chromatic_lower_bound(g)."""
+def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None,
+                            omega: int | None = None) -> SolveResult:
+    """Minimum colors in a proper vertex coloring with no two-colored cycle,
+    by iterative deepening from acyclic_chromatic_lower_bound(g, omega)."""
     order = _vertex_order(g)
     return _deepen(
-        g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g),
+        g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g, omega),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
         is_acyclic_vertex, lambda: (g.n, None))
 
 
-def chromatic_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
-    """Exact chromatic number with a certifying proper coloring."""
+def chromatic_exact(g: Graph, budget: Budget | None = None,
+                    omega: int | None = None) -> SolveResult:
+    """Exact chromatic number with a certifying proper coloring, deepening
+    from omega, which when given must be max_clique_size(g)."""
     order = _vertex_order(g)
     return _deepen(
-        g, budget, VertexColoring, lambda: max_clique_size(g),
+        g, budget, VertexColoring,
+        lambda: max_clique_size(g) if omega is None else omega,
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
         lambda c: (is_proper_vertex(c), None), lambda: (g.n, None))
 

@@ -15,13 +15,17 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .decompose import ForestDecomposition, arboricity
 from .errors import GraphFormatError, WorkerCrashError
-from .exact import Budget, acyclic_chromatic_exact, chromatic_exact, strong_arboricity_exact
+from .exact import (
+    Budget,
+    acyclic_chromatic_exact,
+    chromatic_exact,
+    max_clique_size,
+    strong_arboricity_exact,
+)
 from .graphs import Graph, coloring_number, euler_planar_sanity, girth, parse_graph6
 from .verify import EdgeColoring
 # is_strongly_woody is not called here, but the hunt tracer (bench/spans.py)
@@ -123,12 +127,15 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     gir = staged("girth", lambda: girth(g))
     col, col_order = staged("col", lambda: coloring_number(g))
     arb_k, decomp = staged("arb", lambda: arboricity(g, (col, col_order)))
+    # one clique number for the lower bounds of every solver below
+    omega = max_clique_size(g)
     chi = None
     if config.with_chi:
-        chi_res = staged("chi", lambda: chromatic_exact(g, config.budget))
+        chi_res = staged("chi", lambda: chromatic_exact(g, config.budget, omega))
         chi = chi_res.value
-    chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, config.budget))
-    zeta_res = staged("zeta", lambda: strong_arboricity_exact(g, config.budget, arb=arb_k))
+    chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, config.budget, omega))
+    zeta_res = staged("zeta", lambda: strong_arboricity_exact(
+        g, config.budget, arb=arb_k, omega=omega))
 
     record: dict = {
         "graph_id": graph_id,
@@ -275,20 +282,25 @@ def run_hunt(paths, config: HuntConfig, jobs: int = 1,
     # no more workers start than there are chunks to send them
     chunk = chunk_size(len(tasks), jobs)
     workers = min(jobs, math.ceil(len(tasks) / chunk))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    received = 0
-    try:
-        records = (pool.map(hunt_graph, tasks, chunksize=chunk) if pool
-                   else map(hunt_graph, tasks))
-        for rec in records:
-            received += 1
+    if workers > 1:
+        # the pool stack (multiprocessing, threading, pickle, ...) loads
+        # only here, so other commands and one-process hunts never pay it
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            for rec in pool.map(hunt_graph, tasks, chunksize=chunk):
+                if absorb(rec):
+                    break
+        except BrokenProcessPool as exc:
+            # every record received so far was absorbed
+            first = tasks[len(outcome.records) + len(outcome.parse_errors)]
+            raise WorkerCrashError(f"{first[0]}:{first[1]}") from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        for rec in map(hunt_graph, tasks):
             if absorb(rec):
                 break
-    except BrokenProcessPool as exc:
-        raise WorkerCrashError(f"{tasks[received][0]}:{tasks[received][1]}") from exc
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     outcome.records.sort(key=lambda r: _graph_id_key(r["graph_id"]))
     outcome.summary = summarize(outcome, config, paths)

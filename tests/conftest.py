@@ -168,10 +168,14 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch) -> list:
-    """Replace the hunt's ProcessPoolExecutor; returns the pools it made."""
-    import woody.harness
+    """Replace the hunt's ProcessPoolExecutor; returns the pools it made.
+
+    run_hunt imports the executor from concurrent.futures.process when it
+    starts workers, so the stand-in goes in there.
+    """
+    import concurrent.futures.process
 
     made: list = []
-    monkeypatch.setattr(woody.harness, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                         lambda max_workers: FakePool(made, max_workers))
     return made

@@ -154,6 +154,17 @@ class TestColorCommand:
         assert main(["color", gp, "--method", "square", "-o", str(tmp_path / "o")]) == 0
         assert calls == [10]
 
+    @pytest.mark.parametrize("method", ["acyclic", "product"])
+    def test_empty_graph_gets_the_empty_coloring(self, tmp_path, method, capsys):
+        # chi and chi_a of the 0-vertex graph are 0, a palette with no
+        # vertex to color
+        p = tmp_path / "g.txt"
+        p.write_text("0 0\n")
+        out = tmp_path / "o"
+        assert main(["color", str(p), "--method", method, "-o", str(out)]) == 0
+        assert out.read_text().split() == []
+        assert "palette 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("method,graph", [
         pytest.param("acyclic", complete_graph(5), id="acyclic-K5"),
         pytest.param("parity", cycle_graph(13), id="parity-C13"),

@@ -255,6 +255,28 @@ class TestRunHunt:
         assert outcome.exit_code == 0
         assert len(outcome.records) == len(calls) == 99
 
+    def test_clique_number_runs_once_per_hunted_graph(self, monkeypatch):
+        # hunt_graph hands one omega to the lower bounds of chi, chi_a and
+        # zeta; the calls on a vertex subset come from inside the search
+        import woody.exact
+        import woody.harness
+
+        calls = []
+        real = woody.exact.max_clique_size
+
+        def counted(g, vertices=None):
+            if vertices is None:
+                calls.append(g)
+            return real(g, vertices)
+
+        for module in (woody.harness, woody.exact):
+            monkeypatch.setattr(module, "max_clique_size", counted)
+        config = HuntConfig(with_chi=True)
+        outcome = run_hunt([str(DATA / "planar_connected_n6.g6")], config, jobs=1)
+        assert outcome.exit_code == 0
+        assert len(outcome.records) == len(calls) == 99
+        assert {rec["chi"] for rec in outcome.records} == {2, 3, 4}
+
     def test_twoarb_holds_on_small_cliques(self, tmp_path):
         f = tmp_path / "cliques.g6"
         f.write_text("".join(
@@ -330,10 +352,11 @@ class TestRunHunt:
         budgets = []
         real_solve = H.strong_arboricity_exact
 
-        def spy(g, budget=None, arb=None):
+        def spy(g, budget=None, arb=None, omega=None):
             budgets.append(budget)
             # an impossible lower bound lets the forced violation re-verify
-            return dataclasses.replace(real_solve(g, budget, arb=arb), lower=99)
+            return dataclasses.replace(
+                real_solve(g, budget, arb=arb, omega=omega), lower=99)
 
         monkeypatch.setattr(H, "strong_arboricity_exact", spy)
         f = tmp_path / "k4.g6"

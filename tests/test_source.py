@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -25,3 +28,16 @@ def test_module_stays_below_the_parser_step(path):
     # source, so the step shows in the benchmark's peak_rss_mb, whose bound
     # is 0.1 MiB; split a module before it crosses.
     assert parser_tokens(path) < 4096
+
+
+def test_cli_import_leaves_the_pool_stack_unloaded():
+    # woody.cli imports every library module; only a hunt that starts
+    # workers needs concurrent.futures and multiprocessing, and it loads
+    # them itself
+    src = Path(woody.__file__).parent.parent
+    probe = ("import sys, woody.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.split() == ["[]"]
