@@ -31,7 +31,7 @@ from .exact import (
     find_forest_2independent_partition,
     strong_arboricity_exact,
 )
-from .graphs import Graph, parse_edge_list, parse_graph6
+from .graphs import Graph, graph6_lines, parse_edge_list, parse_graph6
 from .harness import (
     DEFAULT_BUDGET_NODES,
     DEFAULT_BUDGET_SECONDS,
@@ -42,12 +42,7 @@ from .harness import (
     write_jsonl,
     write_summary_csv,
 )
-from .verify import (
-    EdgeColoring,
-    is_p_woody,
-    is_strongly_woody,
-    is_woody,
-)
+from .verify import EdgeColoring, is_p_woody, is_strongly_woody, is_woody, verified
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -63,7 +58,7 @@ def load_graph_file(path: str) -> Graph:
 
     An edge-list file starts with an 'n m' digit header; graph6 bytes are
     all >= chr(63), so the two formats cannot collide. A graph6 file must
-    hold exactly one graph.
+    hold exactly one graph, its lines read by graphs.graph6_lines.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -72,11 +67,7 @@ def load_graph_file(path: str) -> Graph:
         raise GraphFormatError(f"{path}: empty graph file")
     if _EDGE_LIST_HEADER.match(lines[0]):
         return parse_edge_list(text)
-    graphs = [ln.strip() for ln in lines]
-    if graphs[0].startswith(">>graph6<<"):
-        graphs[0] = graphs[0][len(">>graph6<<"):].strip()
-        if not graphs[0]:
-            del graphs[0]
+    graphs = [line for _, line in graph6_lines(lines)]
     if len(graphs) != 1:
         raise GraphFormatError(f"{path}: holds {len(graphs)} graphs, expected one")
     return parse_graph6(graphs[0])
@@ -135,20 +126,12 @@ def _palette(coloring) -> int:
     return coloring.normalized().palette_size
 
 
-def _verified(coloring: EdgeColoring) -> EdgeColoring:
-    """Check a coloring that no construct pipeline has verified."""
-    ok, witness = is_strongly_woody(coloring)
-    if not ok:
-        raise AssertionError(f"emitted coloring failed re-verification: {witness}")
-    return coloring
-
-
 def _color_acyclic(g: Graph, budget: Budget):
     res = acyclic_chromatic_exact(g, budget)
     if not res.exact:
         raise PreconditionError(
             f"acyclic chromatic solve inexact (bounds {res.lower}..{res.upper})")
-    coloring = _verified(derived_coloring(g, res.certificate, res.value))
+    coloring = verified(derived_coloring(g, res.certificate, res.value), is_strongly_woody)
     return coloring, f"palette {_palette(coloring)} <= acyclic chromatic number {res.value}"
 
 
@@ -174,7 +157,7 @@ def _color_product(g: Graph, budget: Budget):
     ell, decomp = arboricity(g)
     derived = derived_coloring(g, chi_res.certificate, chi_res.value)
     shaded = depth_parity_shading(decomp)
-    coloring = _verified(product_coloring(g, derived, shaded))
+    coloring = verified(product_coloring(g, derived, shaded), is_strongly_woody)
     return coloring, (
         f"palette {_palette(coloring)} <= 2 * chi * arb = {2 * chi_res.value * ell}")
 

@@ -1,8 +1,7 @@
 """Constructive strongly woody coloring pipelines.
 
-Each pipeline that promises a strongly woody result re-verifies its output
-with the fast verifier before returning it; a verification failure is a
-bug, not a user error, and raises AssertionError.
+Each pipeline that promises a strongly woody result passes its output
+through verify.verified with the fast verifier before returning it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .graphs import (
     subset_adjacency,
     tree_walk,
 )
-from .verify import EdgeColoring, VertexColoring, is_strongly_woody
+from .verify import EdgeColoring, VertexColoring, is_strongly_woody, verified
 
 
 def derived_coloring(g: Graph, f: VertexColoring, k: int) -> EdgeColoring:
@@ -83,16 +82,12 @@ def triangle_free_planar_coloring(g: Graph) -> EdgeColoring:
     tri = find_triangle(g)
     if tri is not None:
         raise PreconditionError(f"graph has a triangle {tri}", certificate=tri)
-    decomp = two_forest_decomposition(g)
-    coloring = depth_parity_shading(decomp)
-    ok, witness = is_strongly_woody(coloring)
-    if not ok:
-        raise AssertionError(f"shading pipeline produced invalid coloring: {witness}")
-    return coloring
+    return verified(depth_parity_shading(two_forest_decomposition(g)), is_strongly_woody)
 
 
 def product_coloring(g: Graph, a: EdgeColoring, b: EdgeColoring) -> EdgeColoring:
-    """Common refinement of two edge colorings, densely renumbered.
+    """Common refinement of two edge colorings: the pair (a, b) of each
+    edge, renumbered by first appearance.
 
     If a makes every triangle rainbow and b admits no monochromatic broken
     cycle with three or more edges, the product is strongly woody.
@@ -101,14 +96,8 @@ def product_coloring(g: Graph, a: EdgeColoring, b: EdgeColoring) -> EdgeColoring
         raise ValueError("colorings belong to a different graph")
     if not (a.total and b.total):
         raise ValueError("product needs total colorings")
-    remap: dict[tuple[int, int], int] = {}
-    colors = []
-    for e in range(g.m):
-        pair = (a.colors[e], b.colors[e])
-        if pair not in remap:
-            remap[pair] = len(remap)
-        colors.append(remap[pair])
-    return EdgeColoring(g, colors)
+    width = b.palette_size
+    return EdgeColoring(g, [x * width + y for x, y in zip(a.colors, b.colors)]).normalized()
 
 
 def degeneracy_greedy_vertex_coloring(g: Graph, col: tuple[int, list[int]] | None = None
@@ -159,10 +148,7 @@ def _square_coloring(g: Graph) -> tuple[int, EdgeColoring]:
         result = product_coloring(g, derived, shaded)
         if result.palette_size > 2 * chi * ell:
             raise AssertionError("product exceeded its palette bound")
-    ok, witness = is_strongly_woody(result)
-    if not ok:
-        raise AssertionError(f"square pipeline produced invalid coloring: {witness}")
-    return ell, result
+    return ell, verified(result, is_strongly_woody)
 
 
 def partition_coloring(g: Graph, a, f) -> EdgeColoring:
@@ -181,11 +167,5 @@ def partition_coloring(g: Graph, a, f) -> EdgeColoring:
     tri = find_triangle(g)
     if tri is not None:
         raise PreconditionError(f"girth below 4: triangle {tri}", certificate=tri)
-    colors = []
-    for u, v in g.edges:
-        colors.append(0 if (u in f_set and v in f_set) else 1)
-    coloring = EdgeColoring(g, colors)
-    ok, witness = is_strongly_woody(coloring)
-    if not ok:
-        raise AssertionError(f"partition coloring failed verification: {witness}")
-    return coloring
+    colors = [0 if (u in f_set and v in f_set) else 1 for u, v in g.edges]
+    return verified(EdgeColoring(g, colors), is_strongly_woody)

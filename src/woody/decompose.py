@@ -14,12 +14,13 @@ induced subgraphs with exact rational arithmetic. Their agreement
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, PreconditionError
-from .graphs import Graph, UnionFind, VertexSubsetView, coloring_number, tree_walk
+from .graphs import Graph, UnionFind, coloring_number, tree_walk
 
 DENSITY_MAX_VERTICES = 24
 
@@ -54,27 +55,31 @@ class ForestDecomposition:
 
 @dataclass(frozen=True)
 class DensityCertificate:
-    """A vertex subset witnessing the maximum of |E(H)| / (|V(H)|-1)."""
+    """A vertex subset H of graph witnessing the maximum of
+    |E(H)| / (|V(H)|-1) over induced subgraphs."""
 
-    subgraph: VertexSubsetView
+    graph: Graph
+    vertices: frozenset
     density: Fraction
+
+    @property
+    def num_edges(self) -> int:
+        """Edges of graph with both ends in the subset."""
+        vs = self.vertices
+        return sum(u in vs and v in vs for u, v in self.graph.edges)
 
     def to_json(self) -> dict:
         return {
-            "vertices": sorted(self.subgraph.members),
-            "num_edges": self.subgraph.num_edges,
+            "vertices": sorted(self.vertices),
+            "num_edges": self.num_edges,
             "density": [self.density.numerator, self.density.denominator],
         }
 
     def check(self) -> bool:
-        nv = self.subgraph.num_vertices
+        nv = len(self.vertices)
         if nv < 2:
             return self.density == 0
-        return self.density == Fraction(self.subgraph.num_edges, nv - 1)
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+        return self.density == Fraction(self.num_edges, nv - 1)
 
 
 class _Forest:
@@ -294,7 +299,7 @@ def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:
     if n > DENSITY_MAX_VERTICES:
         raise GuardError(f"subset enumeration guarded at n <= {DENSITY_MAX_VERTICES}")
     if n < 2:
-        return DensityCertificate(VertexSubsetView(g, range(n)), Fraction(0))
+        return DensityCertificate(g, frozenset(range(n)), Fraction(0))
     masks = [0] * n
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -310,8 +315,8 @@ def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:
         size = s.bit_count()
         if size >= 2 and cnt * best_den > best_num * (size - 1):
             best_num, best_den, best_mask = cnt, size - 1, s
-    members = [v for v in range(n) if (best_mask >> v) & 1]
-    return DensityCertificate(VertexSubsetView(g, members), Fraction(best_num, best_den))
+    members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
+    return DensityCertificate(g, members, Fraction(best_num, best_den))
 
 
 def two_forest_decomposition(g: Graph) -> ForestDecomposition:
@@ -328,7 +333,4 @@ def two_forest_decomposition(g: Graph) -> ForestDecomposition:
 
 def nash_williams_ceiling(g: Graph) -> int:
     """ceil of the exact fractional arboricity (oracle-side value)."""
-    cert = fractional_arboricity_bruteforce(g)
-    if cert.density == 0:
-        return 0
-    return _ceil_fraction(cert.density)
+    return math.ceil(fractional_arboricity_bruteforce(g).density)

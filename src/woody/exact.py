@@ -10,7 +10,8 @@ budget exhaustion yields explicit bounds instead of a guess.
 
 ζ, χ_a, χ, χ′, the unpruned ζ oracle and the partition search branch in one
 forward-checked, most-constrained-first search (_search_colors) on an
-explicit trail, not the call stack; each gives only its admissibility rule.
+explicit trail, not the call stack; each gives only its admissibility rule,
+and the search checks and restores every mask clear the rule makes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .verify import (
     is_proper_edge,
     is_proper_vertex,
     is_strongly_woody,
+    verified,
 )
 
 # the unpruned oracle search verifies every canonical coloring with up to
@@ -95,15 +97,15 @@ class _Ticker:
 
 
 def _edge_order(g: Graph) -> list[int]:
-    # constrained edges first: decreasing degree sum, edge index as tie-break
-    return sorted(
-        range(g.m),
-        key=lambda e: (-(g.degree(g.edges[e][0]) + g.degree(g.edges[e][1])), e))
+    # constrained edges first: decreasing degree sum; the sort is stable, so
+    # ties stay in edge index order
+    return sorted(range(g.m),
+                  key=lambda e: -(g.degree(g.edges[e][0]) + g.degree(g.edges[e][1])))
 
 
 def _vertex_order(g: Graph) -> list[int]:
-    # decreasing degree, vertex index as tie-break
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    # decreasing degree, ties in vertex index order (the sort is stable)
+    return sorted(range(g.n), key=lambda v: -g.degree(v))
 
 
 def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
@@ -114,7 +116,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
     vertices for a vertex coloring) is solved by the empty coloring.
     Otherwise k runs up from lower() and search(k, ticker) returns at most
     k colors, or None when k colors do not suffice. The first coloring
-    found is normalized and must pass check, which returns (ok, witness).
+    found is normalized and passed through verify.verified with check.
     If the budget runs out at level k, k is the proven lower bound and
     exhausted() gives the (upper bound, certificate) to report.
     """
@@ -131,13 +133,9 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
             return SolveResult(None, k, upper, False, certificate, ticker.nodes,
                                time.monotonic() - t0)
         if found is not None:
-            coloring = coloring_type(g, found).normalized()
-            ok, witness = check(coloring)
-            if not ok:
-                raise AssertionError(
-                    f"solver certificate failed verification: {witness}")
-            return SolveResult(k, k, k, True, coloring, ticker.nodes,
-                               time.monotonic() - t0)
+            return SolveResult(k, k, k, True,
+                               verified(coloring_type(g, found).normalized(), check),
+                               ticker.nodes, time.monotonic() - t0)
         k += 1
 
 
@@ -226,14 +224,14 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
     number of colors in use from the start: 0 gives the canonical palette,
     k makes the colors not interchangeable. assign(e, c, bit_c) is a
     generator that carries the admissibility rule: given colors[e] = c, it
-    clears bit_c from the masks of the uncolored items the color excludes
-    and yields them once; resumed on backtrack, it undoes its own state,
-    and the bit_c clears are restored here first. A rule may also exclude
-    colors other than c (χ_a does); it restores those itself. An
-    assignment whose bit_c clears leave some uncolored item with no
-    admissible color is pruned at once; an item that another clear leaves
-    empty is refused when it is next picked, at no extra node. The
-    branching runs on an explicit trail, so no depth is too deep for it.
+    clears the colors it excludes from the masks of the uncolored items and
+    yields them once as (cleared, crossed): the items that lost bit_c, and
+    an (item, bit) pair for every other color cleared (only χ_a clears
+    any; the other rules yield an empty crossed). Resumed on backtrack, it
+    undoes its own state once the masks are restored here. An assignment
+    whose clears leave some uncolored item with no admissible color is
+    pruned at once. The branching runs on an explicit trail, so no depth
+    is too deep for it.
     """
     m = len(colors)
     # (item, untried colors, palette before it, suspended assign, clears, bit)
@@ -245,9 +243,9 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
             cands = 0  # a refused leaf: back to the last item
         else:
             # the fresh color `used` is in every mask while used < k (an
-            # item excludes only colors in use); past the wipe-out check an
-            # item is at zero only after another color's clear, and is
-            # refused when picked; no count exceeds k
+            # item excludes only colors in use), and the wipe-out check
+            # keeps every mask nonempty once all k are: no count is 0 or
+            # exceeds k
             low = (2 << used) - 1
             count = k + 1
             for f in order:
@@ -260,7 +258,7 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
             if not cands:
                 if not trail:
                     return None
-                e, cands, used, rule, cleared, bit_c = trail.pop()
+                e, cands, used, rule, cleared, crossed, bit_c = trail.pop()
             else:
                 bit_c = cands & -cands
                 cands ^= bit_c
@@ -268,16 +266,20 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
                 ticker.tick()
                 colors[e] = c
                 rule = assign(e, c, bit_c)
-                cleared = next(rule)
+                cleared, crossed = next(rule)
                 used_after = used + (c == used)  # low allows no c above used
                 # the wipe-out check: once all k colors are in use, an item
-                # whose mask emptied has no color left
-                if used_after < k or all(map(mask.__getitem__, cleared)):
-                    trail.append((e, cands, used, rule, cleared, bit_c))
+                # whose mask emptied has no color left; only χ_a crosses
+                # colors, so the other rules skip that generator
+                if used_after < k or all(map(mask.__getitem__, cleared)) and (
+                        not crossed or all(mask[x] for x, _ in crossed)):
+                    trail.append((e, cands, used, rule, cleared, crossed, bit_c))
                     used = used_after
                     break
             for f in cleared:
                 mask[f] |= bit_c
+            for x, bit in crossed:
+                mask[x] |= bit
             next(rule, None)
             colors[e] = None
 
@@ -341,7 +343,7 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
                         or adj_mask[y] & merged != bit_x):
                     mask[f] ^= bit_c
                     cleared.append(f)
-        yield cleared
+        yield cleared, ()
         mem[ru], nb[ru] = mem_u, nb_u
         rest = mem_v
         while rest:
@@ -369,7 +371,7 @@ def _search_proper(adj, k: int, order: list[int], ticker: _Ticker,
         cleared = [f for f in adj[e] if colors[f] is None and mask[f] & bit_c]
         for f in cleared:
             mask[f] ^= bit_c
-        yield cleared
+        yield cleared, ()
 
     return _search_colors(colors, mask, k, order, ticker, assign, leaf)
 
@@ -397,16 +399,14 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
         coloring = arboricity_square_coloring(g)
         return coloring.palette_size, coloring
 
-    def leaf(colors):
-        return is_strongly_woody(EdgeColoring(g, colors))[0]
-
     # the oracle tries every canonical coloring in edge order and verifies
     # each leaf: the proper coloring search on m vertices and no edges
     return _deepen(
         g, budget, EdgeColoring,
         lambda: strong_arboricity_lower_bound(g, arb, omega) if prune else 1,
         lambda k, ticker: _search_strongly_woody(g, k, order, ticker) if prune
-        else _search_proper([()] * g.m, k, order, ticker, leaf),
+        else _search_proper([()] * g.m, k, order, ticker,
+                            lambda colors: is_strongly_woody(EdgeColoring(g, colors))[0]),
         is_strongly_woody, fallback)
 
 
@@ -422,7 +422,7 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
     one, and only the uncolored vertices next to it are rechecked: b is
     cleared from x when x has two a-colored neighbours in it, a when x has
     two b-colored ones. Components only grow along a path, so a pruned
-    color stays pruned. The b clears are undone here on resume.
+    color stays pruned. The b clears go to _search_colors as crossed.
     """
     colors: list[int | None] = [None] * g.n
     mask = [(1 << k) - 1] * g.n
@@ -461,9 +461,7 @@ def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
                 if mask[x] & bit_a and (adj[x] & comp & in_b).bit_count() > 1:
                     mask[x] ^= bit_a
                     cleared.append(x)
-        yield cleared
-        for x, bit_b in crossed:
-            mask[x] |= bit_b
+        yield cleared, crossed
         cls[a] ^= 1 << v
 
     return _search_colors(colors, mask, k, order, ticker, assign)
@@ -582,7 +580,7 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
             cleared = [x for x in near if colors[x] is None and mask[x] & bit_c]
             for x in cleared:
                 mask[x] ^= bit_c
-            yield cleared
+            yield cleared, ()
 
         try:
             found = _search_colors(colors, mask, 2, order, ticker, assign, used=2)

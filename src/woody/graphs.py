@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import GraphFormatError
 
@@ -70,35 +70,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class VertexSubsetView:
-    """A vertex subset of a parent graph together with its induced edges."""
-
-    __slots__ = ("parent", "members")
-
-    def __init__(self, parent: Graph, members: Iterable[int]):
-        ms = frozenset(members)
-        for v in ms:
-            if not 0 <= v < parent.n:
-                raise ValueError(f"vertex {v} not in parent graph")
-        self.parent = parent
-        self.members = ms
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.members)
-
-    def induced_edge_ids(self) -> list[int]:
-        ms = self.members
-        return [i for i, (u, v) in enumerate(self.parent.edges) if u in ms and v in ms]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.induced_edge_ids())
-
-    def __repr__(self) -> str:
-        return f"VertexSubsetView({sorted(self.members)})"
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +141,18 @@ def parse_graph6(line: str) -> Graph:
     if have and val & ((1 << have) - 1):
         raise GraphFormatError("nonzero padding bits", idx)
     return Graph(n, edges)
+
+
+def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, graph6 string) for each graph in the lines of
+    a graph6 file: blank lines are skipped, and a '>>graph6<<' header is
+    cut from the start of any line, so headed files concatenate."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith(">>graph6<<"):
+            line = line[len(">>graph6<<"):].strip()
+        if line:
+            yield lineno, line
 
 
 def encode_graph6(g: Graph) -> str:
@@ -431,16 +414,15 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def euler_planar_sanity(g: Graph, triangle_free: bool = False) -> bool:
-    """Necessary edge-count condition for planarity (no embedding is computed).
-
-    m <= 3n-6 in general, m <= 2n-4 when the graph is declared triangle-free.
-    Used only to reject corrupt corpora that claim to be planar.
+def euler_planar_sanity(g: Graph) -> bool:
+    """Necessary edge-count condition for planarity (no embedding is
+    computed): m <= 3n-6. Used only to reject corrupt corpora that claim to
+    be planar.
     """
     n, m = g.n, g.m
     if n <= 2:
         return m <= 1
-    return m <= (2 * n - 4 if triangle_free else 3 * n - 6)
+    return m <= 3 * n - 6
 
 
 # small constructors for the tests, the tools and the benchmark

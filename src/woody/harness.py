@@ -26,7 +26,14 @@ from .exact import (
     max_clique_size,
     strong_arboricity_exact,
 )
-from .graphs import Graph, coloring_number, euler_planar_sanity, girth, parse_graph6
+from .graphs import (
+    Graph,
+    coloring_number,
+    euler_planar_sanity,
+    girth,
+    graph6_lines,
+    parse_graph6,
+)
 from .verify import EdgeColoring
 # is_strongly_woody is not called here, but the hunt tracer (bench/spans.py)
 # patches it under this module's name, so the name stays bound.
@@ -58,22 +65,12 @@ class HuntConfig:
 
 
 def iter_corpus(paths) -> list[tuple[str, int, str]]:
-    """All graph lines from graph6 files as (path, 1-based line, text).
-
-    Blank lines and an optional '>>graph6<<' header are skipped.
-    """
+    """All graph lines from graph6 files as (path, 1-based line, text),
+    each file read by graphs.graph6_lines."""
     out = []
     for path in paths:
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith(">>graph6<<"):
-                    line = line[len(">>graph6<<"):].strip()
-                    if not line:
-                        continue
-                out.append((path, lineno, line))
+            out.extend((path, lineno, line) for lineno, line in graph6_lines(fh))
     return out
 
 
@@ -92,6 +89,9 @@ def conjecture_bound(name: str, record: dict) -> int:
         return 2 * record["arb"]
     if name == "col":
         return record["col"]
+    if name == "girth-eq":
+        # every lower bound on zeta is at least arb, so zeta <= arb means ==
+        return record["arb"]
     raise ValueError(f"unknown conjecture {name}")
 
 
@@ -178,13 +178,8 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     record["flags"] = flags
 
     if "girth-eq" in config.conjectures:
-        lo, hi = _zeta_bounds(record)
-        if hi is not None and hi == arb_k:
-            record["zeta_eq_arb"] = True
-        elif lo > arb_k:
-            record["zeta_eq_arb"] = False
-        else:
-            record["zeta_eq_arb"] = None
+        record["zeta_eq_arb"] = {"holds": True, "violated": False}.get(
+            conjecture_status("girth-eq", record))
 
     if any(v == "violated" for v in flags.values()):
         record["witness"] = {

@@ -183,6 +183,17 @@ class BicoloredCycleWitness:
         return _edges_follow(g, self.edges, verts)
 
 
+def verified(coloring, check):
+    """coloring, once check(coloring) returns (True, witness); otherwise an
+    AssertionError naming the witness. Every producer passes its output
+    through here: a certificate that fails its check is a bug, not a user
+    error."""
+    ok, witness = check(coloring)
+    if not ok:
+        raise AssertionError(f"{type(coloring).__name__} failed verification: {witness}")
+    return coloring
+
+
 def _require_total(c) -> None:
     if not c.total:
         raise ValueError("coloring is partial; verifiers need a total coloring")
@@ -312,7 +323,7 @@ def is_strongly_woody(c: EdgeColoring) -> tuple[bool, BrokenCycleWitness | None]
         "monochromatic_broken_cycle", color, tuple(verts), tuple(path), idx)
 
 
-def enumerate_cycles(g: Graph, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every simple cycle exactly once as a vertex tuple.
 
     The first vertex is the cycle's minimum and the orientation is fixed by
@@ -331,8 +342,7 @@ def enumerate_cycles(g: Graph, max_length: int | None = None) -> Iterator[tuple[
                 if w == root:
                     if len(path) >= 3 and path[1] < path[-1]:
                         yield tuple(path)
-                elif w > root and not on_path[w] and (
-                        max_length is None or len(path) < max_length):
+                elif w > root and not on_path[w]:
                     path.append(w)
                     on_path[w] = True
                     stack.append(iter(adj[w]))

@@ -7,6 +7,7 @@ import woody.cli
 import woody.construct
 from woody.cli import main
 from woody.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -14,6 +15,7 @@ from woody.graphs import (
     parse_graph6,
     path_graph,
 )
+from woody.harness import iter_corpus
 from woody.verify import EdgeColoring, is_strongly_woody
 
 from conftest import DATA, grid_graph
@@ -85,6 +87,18 @@ class TestVerifyCommand:
         assert "2 graphs" in capsys.readouterr().err
         assert main(["exact", str(p), "--param", "strong-arb"]) == 2
         assert main(["color", str(p), "--method", "square"]) == 2
+
+    def test_graph6_lines_read_as_the_hunt_reads_them(self, tmp_path, capsys):
+        # a header may start any line, as in two headed files concatenated
+        k3, c4 = encode_graph6(complete_graph(3)), encode_graph6(cycle_graph(4))
+        one = tmp_path / "one.g6"
+        one.write_text(f"{k3}\n>>graph6<<\n")
+        two = tmp_path / "two.g6"
+        two.write_text(f">>graph6<<{k3}\n>>graph6<<{c4}\n")
+        assert [line for _, _, line in iter_corpus([str(one), str(two)])] == [k3, k3, c4]
+        assert main(["verify", str(one), write_coloring(tmp_path, [0, 1, 2])]) == 0
+        assert main(["exact", str(two), "--param", "strong-arb"]) == 2
+        assert "holds 2 graphs" in capsys.readouterr().err
 
     def test_wrong_length_coloring(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(4))
@@ -194,6 +208,15 @@ class TestColorCommand:
         gp = write_graph(tmp_path, complete_graph(4))
         assert main(["color", gp, "--method", "parity"]) == 1
         assert "precondition" in capsys.readouterr().err
+
+    def test_parity_refusal_prints_the_density_certificate(self, tmp_path, capsys):
+        # K4,4 is triangle-free with arboricity 3; its densest subgraph is
+        # the whole graph, 16 edges over 7
+        gp = write_graph(tmp_path, Graph(8, [(i, 4 + j) for i in range(4) for j in range(4)]))
+        assert main(["color", gp, "--method", "parity"]) == 1
+        assert capsys.readouterr().err == (
+            "precondition failed: graph needs 3 forests, not 2\n"
+            '{"density": [16, 7], "num_edges": 16, "vertices": [0, 1, 2, 3, 4, 5, 6, 7]}\n')
 
     def test_method_required(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(4))

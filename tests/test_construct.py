@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import woody.construct
 from woody.construct import (
     arboricity_square_coloring,
     degeneracy_greedy_vertex_coloring,
@@ -125,6 +126,14 @@ class TestTriangleFreePlanarPipeline:
         with pytest.raises(PreconditionError):
             triangle_free_planar_coloring(complete_graph(4))
 
+    def test_bad_shading_is_refused_naming_the_witness(self, monkeypatch):
+        # the pipeline's output passes the verification gate: one color on
+        # C6 is a monochromatic cycle, and the error names it
+        monkeypatch.setattr(woody.construct, "depth_parity_shading",
+                            lambda d: EdgeColoring(d.parent, [0] * d.parent.m))
+        with pytest.raises(AssertionError, match="monochromatic_cycle"):
+            triangle_free_planar_coloring(cycle_graph(6))
+
     def test_dense_triangle_free_rejected_with_certificate(self):
         # K_{4,4} is triangle-free with arboricity 3
         g = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4)])
@@ -152,6 +161,17 @@ class TestProductColoring:
         a = EdgeColoring(g, [3, 1, 3, 0, 1])
         p = product_coloring(g, a, a)
         assert p.colors == a.normalized().colors
+
+    def test_renumbers_pairs_by_first_appearance(self):
+        rng = random.Random(7)
+        for g in corpus_graphs("connected_n6.g6")[::7]:
+            a = EdgeColoring(g, [rng.randrange(4) for _ in range(g.m)])
+            b = EdgeColoring(g, [rng.randrange(3) for _ in range(g.m)])
+            first: dict = {}
+            pairs = list(zip(a.colors, b.colors))
+            for pair in pairs:
+                first.setdefault(pair, len(first))
+            assert product_coloring(g, a, b).colors == tuple(map(first.get, pairs))
 
     def test_parent_mismatch(self):
         g, h = cycle_graph(4), cycle_graph(4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woody.decompose import (
+    DensityCertificate,
     ForestDecomposition,
     _Partitioner,
     arboricity,
@@ -341,7 +342,7 @@ class TestFractionalArboricity:
     def test_k4_full_vertex_set(self):
         cert = fractional_arboricity_bruteforce(complete_graph(4))
         assert cert.density == 2
-        assert cert.subgraph.members == frozenset(range(4))
+        assert cert.vertices == frozenset(range(4))
         assert cert.check()
 
     def test_c5(self):
@@ -365,6 +366,16 @@ class TestFractionalArboricity:
     def test_degenerate_graphs(self):
         assert fractional_arboricity_bruteforce(Graph(1, [])).density == 0
         assert fractional_arboricity_bruteforce(Graph(4, [])).density == 0
+
+    def test_certificate_counts_induced_edges(self):
+        # only the edges with both ends in the subset count: on C5 the
+        # vertices 0, 1, 2 induce the path 0-1-2, not the edges at 3 and 4
+        g = cycle_graph(5)
+        cert = DensityCertificate(g, frozenset({0, 1, 2}), Fraction(2, 2))
+        assert cert.num_edges == 2
+        assert cert.check()
+        assert cert.to_json() == {"vertices": [0, 1, 2], "num_edges": 2, "density": [1, 1]}
+        assert not DensityCertificate(g, frozenset({0, 1, 2}), Fraction(3, 2)).check()
 
 
 class TestTwoForest:

@@ -106,6 +106,14 @@ class TestStrongArboricity:
         # at the limit the oracle still runs
         assert strong_arboricity_exact(path_graph(11), prune=False).value == 1
 
+    def test_bad_certificate_is_refused_naming_the_witness(self, monkeypatch):
+        # the deepening passes what the search found through the
+        # verification gate: one color on C4 is a monochromatic cycle
+        monkeypatch.setattr(woody.exact, "_search_strongly_woody",
+                            lambda g, k, order, ticker: [0] * g.m)
+        with pytest.raises(AssertionError, match="monochromatic_cycle"):
+            strong_arboricity_exact(cycle_graph(4))
+
     def test_isomorphism_invariance(self, connected_n6):
         rng = random.Random(2718)
         for g in connected_n6[5::40]:
@@ -147,7 +155,9 @@ class TestStrongArboricity:
         assert acyclic_chromatic_exact(complete_bipartite(5, 5)).nodes == 28
         assert acyclic_chromatic_exact(complete_graph(7)).nodes == 7
         assert acyclic_chromatic_exact(petersen_graph()).nodes == 61
-        for name, total in (("connected_n6.g6", 768), ("connected_n7.g6", 7_393)):
+        # the wipe-out check covers the other colors a vertex excludes, so an
+        # assignment that empties a vertex's mask that way is pruned at once
+        for name, total in (("connected_n6.g6", 767), ("connected_n7.g6", 7_358)):
             nodes = sum(acyclic_chromatic_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
         # the oracle enumerates every canonical coloring in edge order

@@ -4,8 +4,6 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from woody.construct import arboricity_square_coloring
 from woody.errors import GuardError
@@ -320,18 +318,10 @@ class TestCycleEnumeration:
             assert cyc == canonical(cyc)
         assert len({canonical(c) for c in emitted}) == len(emitted)
 
-    @given(st.integers(4, 7))
-    @settings(max_examples=4, deadline=None)
-    def test_max_length_filter(self, n):
-        g = complete_graph(n)
-        assert all(len(c) <= 4 for c in enumerate_cycles(g, max_length=4))
-
     def test_depth_first_order(self):
         assert list(enumerate_cycles(complete_graph(4))) == [
             (0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 1, 3, 2), (0, 2, 1, 3),
             (0, 2, 3), (1, 2, 3)]
-        assert list(enumerate_cycles(complete_graph(4), max_length=3)) == [
-            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def test_leaves_no_garbage_cycles(self):
         # a recursive closure per call would be a reference cycle that only
@@ -340,7 +330,7 @@ class TestCycleEnumeration:
         gc.disable()
         try:
             assert sum(1 for _ in enumerate_cycles(complete_graph(5))) == 37
-            assert sum(1 for _ in enumerate_cycles(cycle_graph(6), max_length=4)) == 0
+            assert sum(1 for _ in enumerate_cycles(path_graph(6))) == 0
             assert next(enumerate_cycles(complete_graph(5))) == (0, 1, 2)  # abandoned
             assert gc.collect() == 0
         finally:
