@@ -1,37 +1,38 @@
 """Exact arboricity, seeded from the degeneracy order and finished by
-matroid-partition augmentation, plus the brute-force density maximization
-that serves as its independent oracle.
+matroid-partition augmentation, with a Nash-Williams witness for its
+lower bound.
 
-The two routes are kept deliberately separate: arboricity() builds a
-certifying forest decomposition (a smallest-last seed, then Edmonds' exchange
-search on forests kept rooted so that a connectivity test is a label
-comparison and a cycle is a climb along parent edges; a link or a cut
-re-roots the smaller tree in one graphs.tree_walk), while
-fractional_arboricity_bruteforce() maximizes |E(H)|/(|V(H)|-1) over all
-induced subgraphs with exact rational arithmetic. Their agreement
-(min forests = ceiling of max density) is asserted across the test corpus.
+arboricity() builds a certifying forest decomposition: a smallest-last
+seed, then Edmonds' exchange search on forests kept rooted so that a
+connectivity test is a label comparison and a cycle is a climb along parent
+edges; a link or a cut re-roots the smaller tree in one graphs.tree_walk.
+A failed augmentation returns its own proof that one forest more is
+needed: the edges it reached hold a component with more edges than the
+current forests can cover (Nash-Williams). Either way the decomposition
+carries a vertex set whose density anyone can recount
+(density_certificate()).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardError, PreconditionError
+from .errors import PreconditionError
 from .graphs import Graph, UnionFind, coloring_number, tree_walk
-
-DENSITY_MAX_VERTICES = 24
 
 
 @dataclass(frozen=True)
 class ForestDecomposition:
-    """Assignment of every edge to one of num_forests acyclic classes."""
+    """Assignment of every edge to one of num_forests acyclic classes, with
+    the vertex set of a subgraph too dense for fewer forests (None: all
+    vertices)."""
 
     parent: Graph
     assignment: tuple[int, ...]
     num_forests: int
+    dense: frozenset | None = None
 
     def classes(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_forests)]
@@ -52,15 +53,20 @@ class ForestDecomposition:
                     return False
         return True
 
+    def density_certificate(self) -> DensityCertificate:
+        """The density witness arboricity() found: check(num_forests) shows
+        that no fewer forests suffice."""
+        return DensityCertificate(self.parent, self.dense or frozenset(range(self.parent.n)))
+
 
 @dataclass(frozen=True)
 class DensityCertificate:
-    """A vertex subset H of graph witnessing the maximum of
-    |E(H)| / (|V(H)|-1) over induced subgraphs."""
+    """A vertex subset H of graph. Its density |E(H)| / (|V(H)|-1), counted
+    over the induced edges, proves arb >= ceil(density) (Nash-Williams):
+    each forest covers at most |V(H)|-1 of those edges."""
 
     graph: Graph
     vertices: frozenset
-    density: Fraction
 
     @property
     def num_edges(self) -> int:
@@ -68,18 +74,21 @@ class DensityCertificate:
         vs = self.vertices
         return sum(u in vs and v in vs for u, v in self.graph.edges)
 
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.num_edges, max(1, len(self.vertices) - 1))
+
     def to_json(self) -> dict:
+        density = self.density
         return {
             "vertices": sorted(self.vertices),
             "num_edges": self.num_edges,
-            "density": [self.density.numerator, self.density.denominator],
+            "density": [density.numerator, density.denominator],
         }
 
-    def check(self) -> bool:
-        nv = len(self.vertices)
-        if nv < 2:
-            return self.density == 0
-        return self.density == Fraction(self.num_edges, nv - 1)
+    def check(self, k: int) -> bool:
+        """True iff the subset proves arb >= k: more than (k-1)(|H|-1) edges."""
+        return self.num_edges > (k - 1) * (len(self.vertices) - 1)
 
 
 class _Forest:
@@ -199,7 +208,15 @@ class _Partitioner:
         self.owner[e] = fi
 
     def place(self, e0: int) -> bool:
-        """Cover edge e0, possibly displacing edges along an exchange chain."""
+        """Cover edge e0, possibly displacing edges along an exchange chain.
+
+        On failure self.reached holds the edges the search reached, e0
+        among them. Every reached edge closes a cycle in each forest but its
+        own, and that cycle was reached too, so each forest restricted to
+        them spans every component of the graph H they form: they number
+        k(|V(H)| - c(H)) + 1, and the component C holding e0 has
+        k(|C| - 1) + 1 of them, too many for k forests.
+        """
         edges, owner, forests = self.g.edges, self.owner, self.forests
         pred: dict[int, int | None] = {e0: None}
         queue = deque([e0])
@@ -229,6 +246,7 @@ class _Partitioner:
                         if y not in pred:
                             pred[y] = x
                             queue.append(y)
+        self.reached = pred
         return False
 
 
@@ -245,7 +263,11 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
     are a minimum decomposition. Otherwise the first k0 slot classes seed
     the exchange search (Edmonds' matroid partition), which places the
     later slots' edges in index order; a failed search proves the current
-    k infeasible, so k is incremented and the search resumes.
+    k infeasible, so k is incremented and the search resumes. The proof is
+    the component of its reached edges that holds the edge it could not
+    place (see _Partitioner.place), and the vertex set of the last one is
+    the decomposition's dense set. Where nothing failed, k = k0 and the
+    whole graph is the witness.
 
     col, when given, must be coloring_number(g); a caller that already has
     it spares a second pass.
@@ -277,60 +299,33 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
                 if v in forest.adj and forest.label[v] == v:
                     forest._hang(v, -1, v, 0)
             forest.size = {lab: c for lab, c in Counter(forest.label).items() if c > 1}
+        failed = None
         for e, s in enumerate(slot):
             if s >= k:
                 while not part.place(e):
+                    failed = e
                     part.add_forest()
-        decomp = ForestDecomposition(g, tuple(part.owner), part.k)
+        dense = None
+        if failed is not None:
+            uf = UnionFind(n)
+            for x in part.reached:
+                uf.union(*edges[x])
+            root = uf.find(edges[failed][0])
+            dense = frozenset(v for v in range(n) if uf.find(v) == root)
+        decomp = ForestDecomposition(g, tuple(part.owner), part.k, dense)
     if not decomp.is_valid():
         raise AssertionError("forest partition produced an invalid decomposition")
     return decomp.num_forests, decomp
-
-
-def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:
-    """Exact maximization of |E(H)|/(|V(H)|-1) over induced vertex subsets.
-
-    Restriction to induced subgraphs is safe: taking all edges over a fixed
-    vertex set never lowers the ratio. Edge counts come from a subset DP;
-    densities are exact integer pairs, never floats. 2^n enumeration,
-    guarded at n <= 24.
-    """
-    n = g.n
-    if n > DENSITY_MAX_VERTICES:
-        raise GuardError(f"subset enumeration guarded at n <= {DENSITY_MAX_VERTICES}")
-    if n < 2:
-        return DensityCertificate(g, frozenset(range(n)), Fraction(0))
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    counts = [0] * (1 << n)
-    best_num, best_den, best_mask = 0, 1, (1 << min(2, n)) - 1
-    for s in range(1, 1 << n):
-        low = s & (-s)
-        v = low.bit_length() - 1
-        rest = s ^ low
-        cnt = counts[rest] + (masks[v] & rest).bit_count()
-        counts[s] = cnt
-        size = s.bit_count()
-        if size >= 2 and cnt * best_den > best_num * (size - 1):
-            best_num, best_den, best_mask = cnt, size - 1, s
-    members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    return DensityCertificate(g, members, Fraction(best_num, best_den))
 
 
 def two_forest_decomposition(g: Graph) -> ForestDecomposition:
     """Arboricity specialization for graphs decomposable into two forests."""
     k, decomp = arboricity(g)
     if k > 2:
-        cert = None
-        if g.n <= DENSITY_MAX_VERTICES:
-            cert = fractional_arboricity_bruteforce(g)
+        cert = decomp.density_certificate()
+        if not cert.check(k):
+            raise AssertionError(f"density witness does not prove {k} forests")
         raise PreconditionError(
             f"graph needs {k} forests, not 2", certificate=cert)
     return ForestDecomposition(g, decomp.assignment, 2)
 
-
-def nash_williams_ceiling(g: Graph) -> int:
-    """ceil of the exact fractional arboricity (oracle-side value)."""
-    return math.ceil(fractional_arboricity_bruteforce(g).density)

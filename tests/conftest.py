@@ -1,8 +1,11 @@
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from woody.decompose import DensityCertificate
+from woody.errors import GuardError
 from woody.graphs import Graph, UnionFind, parse_graph6
 
 DATA = Path(__file__).parent / "data"
@@ -105,6 +108,49 @@ def subdivide(g: Graph, times: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+# ---------------------------------------------------------------------------
+# the density oracle: Nash-Williams' formula by brute force
+
+DENSITY_MAX_VERTICES = 24
+
+
+def fractional_arboricity_bruteforce(g: Graph) -> DensityCertificate:
+    """Exact maximization of |E(H)|/(|V(H)|-1) over induced vertex subsets.
+
+    Restriction to induced subgraphs is safe: taking all edges over a fixed
+    vertex set never lowers the ratio. Edge counts come from a subset DP;
+    densities are exact integer pairs, never floats. 2^n enumeration,
+    guarded at n <= 24.
+    """
+    n = g.n
+    if n > DENSITY_MAX_VERTICES:
+        raise GuardError(f"subset enumeration guarded at n <= {DENSITY_MAX_VERTICES}")
+    if n < 2:
+        return DensityCertificate(g, frozenset(range(n)))
+    masks = [0] * n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    counts = [0] * (1 << n)
+    best_num, best_den, best_mask = 0, 1, (1 << min(2, n)) - 1
+    for s in range(1, 1 << n):
+        low = s & (-s)
+        v = low.bit_length() - 1
+        rest = s ^ low
+        cnt = counts[rest] + (masks[v] & rest).bit_count()
+        counts[s] = cnt
+        size = s.bit_count()
+        if size >= 2 and cnt * best_den > best_num * (size - 1):
+            best_num, best_den, best_mask = cnt, size - 1, s
+    return DensityCertificate(g, frozenset(v for v in range(n) if (best_mask >> v) & 1))
+
+
+def nash_williams_ceiling(g: Graph) -> int:
+    """ceil of the exact fractional arboricity: the arboricity, by
+    Nash-Williams' theorem."""
+    return math.ceil(fractional_arboricity_bruteforce(g).density)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -7,7 +8,6 @@ import woody.cli
 import woody.construct
 from woody.cli import main
 from woody.graphs import (
-    Graph,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -18,7 +18,7 @@ from woody.graphs import (
 from woody.harness import iter_corpus
 from woody.verify import EdgeColoring, is_strongly_woody
 
-from conftest import DATA, grid_graph
+from conftest import DATA, complete_bipartite, grid_graph
 
 README = DATA.parent.parent / "README.md"
 
@@ -209,14 +209,19 @@ class TestColorCommand:
         assert main(["color", gp, "--method", "parity"]) == 1
         assert "precondition" in capsys.readouterr().err
 
-    def test_parity_refusal_prints_the_density_certificate(self, tmp_path, capsys):
-        # K4,4 is triangle-free with arboricity 3; its densest subgraph is
-        # the whole graph, 16 edges over 7
-        gp = write_graph(tmp_path, Graph(8, [(i, 4 + j) for i in range(4) for j in range(4)]))
+    @pytest.mark.parametrize("a, k", [(4, 3), (12, 7)], ids=["K4,4", "K12,12"])
+    def test_parity_refusal_prints_the_density_certificate(self, tmp_path, capsys, a, k):
+        # Ka,a is triangle-free with arboricity ceil(a^2 / (2a - 1)); the
+        # witness is the whole graph, a^2 edges over 2a - 1
+        gp = write_graph(tmp_path, complete_bipartite(a, a))
+        start = time.perf_counter()
         assert main(["color", gp, "--method", "parity"]) == 1
+        elapsed = time.perf_counter() - start
         assert capsys.readouterr().err == (
-            "precondition failed: graph needs 3 forests, not 2\n"
-            '{"density": [16, 7], "num_edges": 16, "vertices": [0, 1, 2, 3, 4, 5, 6, 7]}\n')
+            f"precondition failed: graph needs {k} forests, not 2\n"
+            f'{{"density": [{a * a}, {2 * a - 1}], "num_edges": {a * a}, '
+            f'"vertices": {list(range(2 * a))}}}\n')
+        assert elapsed < 0.5
 
     def test_method_required(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(4))

@@ -12,8 +12,6 @@ from woody.decompose import (
     ForestDecomposition,
     _Partitioner,
     arboricity,
-    fractional_arboricity_bruteforce,
-    nash_williams_ceiling,
     two_forest_decomposition,
 )
 from woody.errors import GuardError, PreconditionError
@@ -26,7 +24,15 @@ from woody.graphs import (
     star_graph,
 )
 
-from conftest import connected_upto, corpus_graphs, grid_graph, relabeled
+from conftest import (
+    complete_bipartite,
+    connected_upto,
+    corpus_graphs,
+    fractional_arboricity_bruteforce,
+    grid_graph,
+    nash_williams_ceiling,
+    relabeled,
+)
 
 
 class BfsPartitioner:
@@ -117,12 +123,12 @@ def bfs_partition(g: Graph) -> BfsPartitioner:
     return exchange_partition(g, BfsPartitioner)
 
 
-def k5_with_pendant_path() -> Graph:
-    """K5 with a 20-vertex path hanging off vertex 4: density bound 2,
-    arboricity 3."""
+def k5_with_pendant_path(length: int = 20) -> Graph:
+    """K5 with a path of `length` more vertices hanging off vertex 4:
+    density bound 2, arboricity 3."""
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    edges += [(v, v + 1) for v in range(4, 24)]
-    return Graph(25, edges)
+    edges += [(v, v + 1) for v in range(4, 4 + length)]
+    return Graph(5 + length, edges)
 
 
 def check_forest_state(part: _Partitioner) -> None:
@@ -240,6 +246,29 @@ class TestArboricity:
             k, d = arboricity(g)
             assert k == nash_williams_ceiling(g) == d.num_forests
             assert d.is_valid()
+            assert k == 0 or d.density_certificate().check(k)
+
+    def test_a_failed_search_returns_its_own_proof(self):
+        # each forest restricted to the reached edges spans every component
+        # they form, so the component of the edge left over holds k(|C| - 1)
+        # of them from each forest, and that edge
+        failures = 0
+        for g in small_corpus():
+            part = _Partitioner(g, 1)
+            for e in range(g.m):
+                while not part.place(e):
+                    failures += 1
+                    uf = UnionFind(g.n)
+                    for x in part.reached:
+                        uf.union(*g.edges[x])
+                    root = uf.find(g.edges[e][0])
+                    size = sum(uf.find(v) == root for v in range(g.n))
+                    inside = [x for x in part.reached if uf.find(g.edges[x][0]) == root]
+                    assert [part.owner[x] for x in inside].count(None) == 1
+                    for fi in range(part.k):
+                        assert [part.owner[x] for x in inside].count(fi) == size - 1
+                    part.add_forest()
+        assert failures > 1000
 
     @pytest.mark.parametrize("triangulated", [False, True])
     def test_seed_alone_decomposes_relabeled_grids(self, monkeypatch, triangulated):
@@ -343,12 +372,12 @@ class TestFractionalArboricity:
         cert = fractional_arboricity_bruteforce(complete_graph(4))
         assert cert.density == 2
         assert cert.vertices == frozenset(range(4))
-        assert cert.check()
+        assert cert.check(2) and not cert.check(3)
 
     def test_c5(self):
         cert = fractional_arboricity_bruteforce(cycle_graph(5))
         assert cert.density == Fraction(5, 4)
-        assert cert.check()
+        assert cert.check(2)
 
     def test_k5_density(self):
         assert fractional_arboricity_bruteforce(complete_graph(5)).density == Fraction(10, 4)
@@ -371,11 +400,10 @@ class TestFractionalArboricity:
         # only the edges with both ends in the subset count: on C5 the
         # vertices 0, 1, 2 induce the path 0-1-2, not the edges at 3 and 4
         g = cycle_graph(5)
-        cert = DensityCertificate(g, frozenset({0, 1, 2}), Fraction(2, 2))
+        cert = DensityCertificate(g, frozenset({0, 1, 2}))
         assert cert.num_edges == 2
-        assert cert.check()
+        assert cert.check(1) and not cert.check(2)
         assert cert.to_json() == {"vertices": [0, 1, 2], "num_edges": 2, "density": [1, 1]}
-        assert not DensityCertificate(g, frozenset({0, 1, 2}), Fraction(3, 2)).check()
 
 
 class TestTwoForest:
@@ -396,6 +424,22 @@ class TestTwoForest:
         cert = err.value.certificate
         assert cert is not None
         assert cert.density == Fraction(5, 2)
+
+    @pytest.mark.parametrize("g, witness, k", [
+        (complete_bipartite(12, 12), range(24), 7),
+        (k5_with_pendant_path(995), range(5), 3),
+    ], ids=["K12,12", "K5-path-1000"])
+    def test_refuses_at_any_size_with_a_checked_witness(self, g, witness, k):
+        # K12,12 is its own witness; the 1,000-vertex graph has density
+        # bound 2, and the failed exchange search finds the K5 inside
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            two_forest_decomposition(g)
+        elapsed = time.perf_counter() - start
+        assert str(err.value) == f"graph needs {k} forests, not 2"
+        cert = err.value.certificate
+        assert cert.vertices == frozenset(witness) and cert.check(k)
+        assert elapsed < 0.1
 
 
 class TestForestDecompositionType:
