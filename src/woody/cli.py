@@ -251,7 +251,10 @@ def cmd_hunt(args) -> int:
         return EXIT_PARSE
     with open(args.report, "w", encoding="ascii") as fh:
         write_jsonl(outcome.records, fh)
-    with open(args.summary, "w", encoding="ascii", newline="") as fh:
+    # corpus paths and provenance may be any text; a path that is not valid
+    # UTF-8 reaches argv as surrogates, which are written back as its bytes
+    with open(args.summary, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         write_summary_csv(outcome.summary, fh)
     print(f"report: {args.report} ({len(outcome.records)} records)")
     print(f"summary: {args.summary}")

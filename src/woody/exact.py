@@ -8,10 +8,10 @@ once all smaller indices appear) and incremental feasibility state undone
 on backtrack. Every certificate is re-verified before it is returned;
 budget exhaustion yields explicit bounds instead of a guess.
 
-ζ, χ_a, χ, χ′, the unpruned ζ oracle and the partition search branch in one
-forward-checked, most-constrained-first search (_search_colors) on an
-explicit trail, not the call stack; each gives only its admissibility rule,
-and the search checks and restores every mask clear the rule makes.
+ζ, χ_a, χ, χ′ and the partition search branch in one forward-checked,
+most-constrained-first search (_search_colors) on an explicit trail, not
+the call stack; each gives only its admissibility rule, and the search
+checks and restores every mask clear the rule makes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .construct import arboricity_square_coloring
 from .decompose import arboricity
-from .errors import GuardError
 from .graphs import Graph, connected_components, has_cycle, has_triangle
 from .verify import (
     EdgeColoring,
@@ -32,11 +31,6 @@ from .verify import (
     is_strongly_woody,
     verified,
 )
-
-# the unpruned oracle search verifies every canonical coloring with up to
-# zeta colors: K5 (m = 10) takes about 2 s, while refuting k = 4 alone on
-# K6 (m = 15) means 44.7M leaves
-ORACLE_MAX_EDGES = 10
 
 
 @dataclass(frozen=True)
@@ -212,10 +206,9 @@ def strong_arboricity_lower_bound(g: Graph, arb: int | None = None,
 
 
 def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
-                   assign, leaf=None, used: int = 0) -> list[int] | None:
-    """The forward-checked search behind ζ, χ_a, χ, χ′, the ζ oracle and
-    the partition search: one coloring of the items with at most k colors,
-    else None; with leaf, only a coloring that passes leaf(colors) counts.
+                   assign, used: int = 0) -> list[int] | None:
+    """The forward-checked search behind ζ, χ_a, χ, χ′ and the partition
+    search: one coloring of the items with at most k colors, else None.
 
     mask[e] holds the colors still admissible for the uncolored item e.
     The search branches on the uncolored item with the fewest (Brélaz's
@@ -238,22 +231,18 @@ def _search_colors(colors, mask, k: int, order: list[int], ticker: _Ticker,
     trail = []
     while True:
         if len(trail) == m:
-            if leaf is None or leaf(colors):
-                return list(colors)
-            cands = 0  # a refused leaf: back to the last item
-        else:
-            # the fresh color `used` is in every mask while used < k (an
-            # item excludes only colors in use), and the wipe-out check
-            # keeps every mask nonempty once all k are: no count is 0 or
-            # exceeds k
-            low = (2 << used) - 1
-            count = k + 1
-            for f in order:
-                if colors[f] is None and (fc := (mask[f] & low).bit_count()) < count:
-                    e, count = f, fc
-                    if count == 1:
-                        break
-            cands = mask[e] & low
+            return list(colors)
+        # the fresh color `used` is in every mask while used < k (an item
+        # excludes only colors in use), and the wipe-out check keeps every
+        # mask nonempty once all k are: no count is 0 or exceeds k
+        low = (2 << used) - 1
+        count = k + 1
+        for f in order:
+            if colors[f] is None and (fc := (mask[f] & low).bit_count()) < count:
+                e, count = f, fc
+                if count == 1:
+                    break
+        cands = mask[e] & low
         while True:  # e's next color; with none left, back to the item before
             if not cands:
                 if not trail:
@@ -354,11 +343,10 @@ def _search_strongly_woody(g: Graph, k: int, order: list[int],
     return _search_colors(colors, mask, k, order, ticker, assign)
 
 
-def _search_proper(adj, k: int, order: list[int], ticker: _Ticker,
-                   leaf=None) -> list[int] | None:
+def _search_proper(adj, k: int, order: list[int], ticker: _Ticker) -> list[int] | None:
     """One proper coloring with at most k colors of the graph with
-    adjacency lists adj, else None; with leaf, only a coloring that passes
-    leaf(colors) counts. A color excludes itself from the neighbours.
+    adjacency lists adj, else None. A color excludes itself from the
+    neighbours.
 
     A static order leaves the tree at the mercy of the labeling: on 60
     seeded relabelings of the McGee graph, χ′ took 1,695 to 276,006 nodes
@@ -373,40 +361,28 @@ def _search_proper(adj, k: int, order: list[int], ticker: _Ticker,
             mask[f] ^= bit_c
         yield cleared, ()
 
-    return _search_colors(colors, mask, k, order, ticker, assign, leaf)
+    return _search_colors(colors, mask, k, order, ticker, assign)
 
 
 def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
-                            prune: bool = True, arb: int | None = None,
+                            arb: int | None = None,
                             omega: int | None = None) -> SolveResult:
     """Minimum palette of a strongly woody coloring, with certificate.
 
     Iterative deepening from strong_arboricity_lower_bound(g, arb), the
     larger of arboricity and χ′(K_ω), as every color class is a matching
-    inside a clique; arb and omega are passed on to it.
-    prune=False is the oracle mode used by the test suite: no feasibility
-    pruning, full leaf verification, deepening from k=1; it raises
-    GuardError at once on graphs with more than ORACLE_MAX_EDGES edges.
-    On budget exhaustion the square pipeline's coloring is the reported
-    upper bound.
+    inside a clique; arb and omega are passed on to it. On budget
+    exhaustion the square pipeline's coloring is the reported upper bound.
     """
-    if not prune and g.m > ORACLE_MAX_EDGES:
-        raise GuardError(
-            f"unpruned search guarded at m <= {ORACLE_MAX_EDGES} (got m={g.m})")
     order = _edge_order(g)
 
     def fallback():
         coloring = arboricity_square_coloring(g)
         return coloring.palette_size, coloring
 
-    # the oracle tries every canonical coloring in edge order and verifies
-    # each leaf: the proper coloring search on m vertices and no edges
     return _deepen(
-        g, budget, EdgeColoring,
-        lambda: strong_arboricity_lower_bound(g, arb, omega) if prune else 1,
-        lambda k, ticker: _search_strongly_woody(g, k, order, ticker) if prune
-        else _search_proper([()] * g.m, k, order, ticker,
-                            lambda colors: is_strongly_woody(EdgeColoring(g, colors))[0]),
+        g, budget, EdgeColoring, lambda: strong_arboricity_lower_bound(g, arb, omega),
+        lambda k, ticker: _search_strongly_woody(g, k, order, ticker),
         is_strongly_woody, fallback)
 
 

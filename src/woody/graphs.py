@@ -143,14 +143,19 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
+_ASCII_SPACE = " \t\n\r\v\f"
+
+
 def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(1-based line number, graph6 string) for each graph in the lines of
     a graph6 file: blank lines are skipped, and a '>>graph6<<' header is
-    cut from the start of any line, so headed files concatenate."""
+    cut from the start of any line, so headed files concatenate. Only ASCII
+    whitespace is cut, so a line read as latin-1 keeps every other byte for
+    the parser to report."""
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(_ASCII_SPACE)
         if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):].strip()
+            line = line[len(">>graph6<<"):].strip(_ASCII_SPACE)
         if line:
             yield lineno, line
 

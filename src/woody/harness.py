@@ -66,10 +66,12 @@ class HuntConfig:
 
 def iter_corpus(paths) -> list[tuple[str, int, str]]:
     """All graph lines from graph6 files as (path, 1-based line, text),
-    each file read by graphs.graph6_lines."""
+    each file read by graphs.graph6_lines. latin-1 maps each byte to one
+    character, so a non-ASCII byte reaches the graph6 parser, which reports
+    it with its line and byte offset like any other malformed one."""
     out = []
     for path in paths:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="latin-1") as fh:
             out.extend((path, lineno, line) for lineno, line in graph6_lines(fh))
     return out
 

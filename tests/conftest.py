@@ -7,6 +7,7 @@ import pytest
 from woody.decompose import DensityCertificate
 from woody.errors import GuardError
 from woody.graphs import Graph, UnionFind, parse_graph6
+from woody.verify import EdgeColoring, is_strongly_woody
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +152,48 @@ def nash_williams_ceiling(g: Graph) -> int:
     """ceil of the exact fractional arboricity: the arboricity, by
     Nash-Williams' theorem."""
     return math.ceil(fractional_arboricity_bruteforce(g).density)
+
+
+# ---------------------------------------------------------------------------
+# the ζ oracle: every canonical edge coloring, each one checked whole
+
+ZETA_MAX_EDGES = 10
+
+
+def zeta_oracle(g: Graph) -> tuple[int, int]:
+    """(ζ, nodes) by enumeration, with nothing from woody.exact.
+
+    Deepening from k = 1, each edge in turn takes a color already in use
+    or the next new one, with edges in decreasing degree sum, ties by
+    index; every complete coloring goes to is_strongly_woody, and each
+    color tried counts as one node. The canonical colorings grow like the
+    Bell numbers: K5 (m = 10) takes 175,400 nodes, while refuting k = 4
+    alone on K6 (m = 15) means 44.7M complete colorings, so it is guarded
+    at m <= 10.
+    """
+    if g.m > ZETA_MAX_EDGES:
+        raise GuardError(f"zeta enumeration guarded at m <= {ZETA_MAX_EDGES} (got m={g.m})")
+    if g.m == 0:
+        return 0, 0
+    order = sorted(range(g.m), key=lambda e: (-sum(map(g.degree, g.edges[e])), e))
+    colors = [0] * g.m
+    nodes = 0
+
+    def extend(i: int, used: int, k: int) -> bool:
+        nonlocal nodes
+        if i == g.m:
+            return is_strongly_woody(EdgeColoring(g, colors))[0]
+        for c in range(min(used + 1, k)):
+            nodes += 1
+            colors[order[i]] = c
+            if extend(i + 1, max(used, c + 1), k):
+                return True
+        return False
+
+    k = 1
+    while not extend(0, 0, k):
+        k += 1
+    return k, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import time
 
@@ -323,6 +324,34 @@ class TestHuntCommand:
         assert all(r["provenance"] == "atlas planar n=4" for r in recs)
         rows = open(summary).read()
         assert "violations_total,0" in rows
+
+    # the second name is not UTF-8, so argv holds it with surrogates
+    @pytest.mark.parametrize("name", ["café.g6", os.fsdecode(b"caf\xe9.g6")])
+    def test_non_ascii_provenance_and_path_reach_the_summary(self, tmp_path, name):
+        corpus = tmp_path / name
+        corpus.write_text(encode_graph6(cycle_graph(4)) + "\n")
+        summary = tmp_path / "s.csv"
+        assert main(["hunt", str(corpus), "--provenance", "café",
+                     "--report", str(tmp_path / "r.jsonl"), "--summary", str(summary)]) == 0
+        rows = summary.read_bytes().decode("utf-8", "surrogateescape").splitlines()
+        assert rows[1:3] == [f"corpus,{corpus}", "provenance,café"]
+        assert rows[-1] == "girth_eq_unresolved,0"
+
+    @pytest.mark.parametrize("line,offset", [
+        (b"C\xc3\xa9", 2), (b"C~\xa0", 2), (b"C\x01", 1)])
+    def test_a_non_ascii_byte_is_a_malformed_line(self, tmp_path, capsys, line, offset):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(encode_graph6(cycle_graph(4)).encode() + b"\n" + line + b"\n")
+        report = tmp_path / "r.jsonl"
+        args = ["hunt", str(corpus), "--report", str(report),
+                "--summary", str(tmp_path / "s.csv")]
+        assert main(args) == 0
+        assert len(report.read_text().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert f"skipping {corpus}:2: " in err and f"(byte offset {offset})" in err
+        assert main(args + ["--strict"]) == 2
+        err = capsys.readouterr().err
+        assert f"corpus error: {corpus}:2: " in err and f"(byte offset {offset})" in err
 
     def test_unknown_conjecture(self, tmp_path):
         assert main([

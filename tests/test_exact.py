@@ -36,6 +36,7 @@ from woody.verify import (
     is_strongly_woody,
 )
 
+import conftest
 from conftest import (
     complete_bipartite,
     corpus_graphs,
@@ -44,6 +45,7 @@ from conftest import (
     petersen_graph,
     relabeled,
     subdivide,
+    zeta_oracle,
 )
 
 
@@ -84,27 +86,26 @@ class TestStrongArboricity:
             assert cert.palette_size == res.value
             assert cert.colors == cert.normalized().colors
 
-    def test_matches_unpruned_oracle_mode(self, connected_n6):
-        # disabling all pruning (leaf-verified search from k=1) must agree
-        small = [g for g in connected_n6 if g.m <= 9][::4]
+    def test_matches_zeta_oracle(self, connected_n6):
+        # the enumeration of every canonical coloring must agree: every
+        # connected graph on up to 6 vertices and 9 edges, and every
+        # triangle-free planar one with up to 10 edges
+        small = [g for g in connected_n6 if g.m <= 9]
+        small += [g for g in corpus_graphs("triangle_free_planar_upto12.g6") if g.m <= 10]
         for g in small:
-            fast = strong_arboricity_exact(g).value
-            slow = strong_arboricity_exact(g, prune=False).value
-            assert fast == slow, g.edges
+            assert strong_arboricity_exact(g).value == zeta_oracle(g)[0], g.edges
 
-    def test_unpruned_oracle_mode_is_guarded(self, monkeypatch):
-        # K6 has 15 edges: refused before any search starts; the oracle runs
-        # the proper coloring search, the pruned mode the strongly woody one
-        def no_search(*args):
-            raise AssertionError("the guard must act before the search")
+    def test_zeta_oracle_is_guarded(self, monkeypatch):
+        # K6 has 15 edges: refused before the first coloring is checked
+        def no_check(*args):
+            raise AssertionError("the guard must act before the enumeration")
 
-        monkeypatch.setattr(woody.exact, "_search_proper", no_search)
-        monkeypatch.setattr(woody.exact, "_search_strongly_woody", no_search)
+        monkeypatch.setattr(conftest, "EdgeColoring", no_check)
         with pytest.raises(GuardError, match="m <= 10"):
-            strong_arboricity_exact(complete_graph(6), prune=False)
+            zeta_oracle(complete_graph(6))
         monkeypatch.undo()
         # at the limit the oracle still runs
-        assert strong_arboricity_exact(path_graph(11), prune=False).value == 1
+        assert zeta_oracle(path_graph(11)) == (1, 10)
 
     def test_bad_certificate_is_refused_naming_the_witness(self, monkeypatch):
         # the deepening passes what the search found through the
@@ -161,9 +162,9 @@ class TestStrongArboricity:
             nodes = sum(acyclic_chromatic_exact(g).nodes for g in corpus_graphs(name))
             assert nodes == total, name
         # the oracle enumerates every canonical coloring in edge order
-        assert strong_arboricity_exact(complete_graph(4), prune=False).nodes == 248
-        assert strong_arboricity_exact(cycle_graph(5), prune=False).nodes == 14
-        assert strong_arboricity_exact(complete_bipartite(2, 3), prune=False).nodes == 23
+        assert zeta_oracle(complete_graph(4))[1] == 248
+        assert zeta_oracle(cycle_graph(5))[1] == 14
+        assert zeta_oracle(complete_bipartite(2, 3))[1] == 23
 
     def test_edgeless_and_exhausted_results_are_pinned(self):
         # (value, lower, upper, exact, certificate colors) of all four solvers

@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -41,3 +42,19 @@ def test_cli_import_leaves_the_pool_stack_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.split() == ["[]"]
+
+
+def test_oracles_import_nothing_from_the_solvers():
+    # the test-side oracles check woody.exact and the square pipeline, so
+    # they must not run on the code they check; `from woody import exact`
+    # counts as woody.exact
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert any(name.startswith("woody.") for name in imported)
+    for name in imported:
+        assert not name.startswith(("woody.exact", "woody.construct")), name
