@@ -1,9 +1,10 @@
 """Command-line front end: verify | color | exact | hunt.
 
 Exit codes: 0 success / valid / no violation, 1 invalid coloring or failed
-precondition, 2 unreadable input (parse or size-guard errors), a bad
-option or a crashed hunt worker, 4 exact solve ended inexact on budget,
-10 conjecture violation found (the counterexample is quarantined first).
+precondition, 2 unreadable input (parse or size-guard errors, a path that
+cannot be read or written), a bad option or a crashed hunt worker, 4 exact
+solve ended inexact on budget, 10 conjecture violation found (the
+counterexample is quarantined first).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .harness import (
     CONJECTURES,
     HuntConfig,
     parse_config_file,
+    read_text,
     run_hunt,
     write_jsonl,
     write_summary_csv,
@@ -60,8 +62,7 @@ def load_graph_file(path: str) -> Graph:
     all >= chr(63), so the two formats cannot collide. A graph6 file must
     hold exactly one graph, its lines read by graphs.graph6_lines.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphFormatError(f"{path}: empty graph file")
@@ -74,15 +75,10 @@ def load_graph_file(path: str) -> Graph:
 
 
 def load_coloring_file(path: str, g: Graph) -> EdgeColoring:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    tokens = read_text(path).split()
     try:
-        colors = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
-    try:
-        return EdgeColoring(g, colors)
-    except ValueError as exc:
+        return EdgeColoring(g, [int(t) for t in tokens])
+    except ValueError as exc:  # a token that is no integer, or a bad count
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
@@ -373,7 +369,7 @@ def main(argv=None) -> int:
             print("color needs --method (flag or config)", file=sys.stderr)
             return EXIT_PARSE
         return args.func(args)
-    except (GraphFormatError, GuardError, FileNotFoundError, ValueError) as exc:
+    except (GuardError, OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -6,7 +6,7 @@ through verify.verified with the fast verifier before returning it.
 
 from __future__ import annotations
 
-from .decompose import ForestDecomposition, arboricity, two_forest_decomposition
+from .decompose import ForestDecomposition, arboricity
 from .errors import PreconditionError
 from .graphs import (
     Graph,
@@ -77,12 +77,19 @@ def triangle_free_planar_coloring(g: Graph) -> EdgeColoring:
 
     Planarity itself is never tested; the arboricity <= 2 consequence is
     checked directly, so any triangle-free graph decomposable into two
-    forests is accepted.
+    forests is accepted; one that needs more is refused with arboricity's
+    density witness, checked first.
     """
     tri = find_triangle(g)
     if tri is not None:
         raise PreconditionError(f"graph has a triangle {tri}", certificate=tri)
-    return verified(depth_parity_shading(two_forest_decomposition(g)), is_strongly_woody)
+    k, decomp = arboricity(g)
+    if k > 2:
+        cert = decomp.density_certificate()
+        if not cert.check(k):
+            raise AssertionError(f"density witness does not prove {k} forests")
+        raise PreconditionError(f"graph needs {k} forests, not 2", certificate=cert)
+    return verified(depth_parity_shading(decomp), is_strongly_woody)
 
 
 def product_coloring(g: Graph, a: EdgeColoring, b: EdgeColoring) -> EdgeColoring:

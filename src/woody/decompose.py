@@ -10,17 +10,16 @@ A failed augmentation returns its own proof that one forest more is
 needed: the edges it reached hold a component with more edges than the
 current forests can cover (Nash-Williams). Either way the decomposition
 carries a vertex set whose density anyone can recount
-(density_certificate()).
+(density_certificate(), checked by verify.DensityCertificate).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import PreconditionError
 from .graphs import Graph, UnionFind, coloring_number, tree_walk
+from .verify import DensityCertificate, EdgeColoring, is_woody
 
 
 @dataclass(frozen=True)
@@ -41,54 +40,17 @@ class ForestDecomposition:
         return out
 
     def is_valid(self) -> bool:
+        """Every class is below num_forests and is a forest (verify.is_woody)."""
         if len(self.assignment) != self.parent.m:
             return False
         if any(not 0 <= f < self.num_forests for f in self.assignment):
             return False
-        for eids in self.classes():
-            uf = UnionFind(self.parent.n)
-            for e in eids:
-                u, v = self.parent.edges[e]
-                if not uf.union(u, v):
-                    return False
-        return True
+        return is_woody(EdgeColoring(self.parent, self.assignment))[0]
 
     def density_certificate(self) -> DensityCertificate:
         """The density witness arboricity() found: check(num_forests) shows
         that no fewer forests suffice."""
         return DensityCertificate(self.parent, self.dense or frozenset(range(self.parent.n)))
-
-
-@dataclass(frozen=True)
-class DensityCertificate:
-    """A vertex subset H of graph. Its density |E(H)| / (|V(H)|-1), counted
-    over the induced edges, proves arb >= ceil(density) (Nash-Williams):
-    each forest covers at most |V(H)|-1 of those edges."""
-
-    graph: Graph
-    vertices: frozenset
-
-    @property
-    def num_edges(self) -> int:
-        """Edges of graph with both ends in the subset."""
-        vs = self.vertices
-        return sum(u in vs and v in vs for u, v in self.graph.edges)
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.num_edges, max(1, len(self.vertices) - 1))
-
-    def to_json(self) -> dict:
-        density = self.density
-        return {
-            "vertices": sorted(self.vertices),
-            "num_edges": self.num_edges,
-            "density": [density.numerator, density.denominator],
-        }
-
-    def check(self, k: int) -> bool:
-        """True iff the subset proves arb >= k: more than (k-1)(|H|-1) edges."""
-        return self.num_edges > (k - 1) * (len(self.vertices) - 1)
 
 
 class _Forest:
@@ -316,16 +278,3 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
     if not decomp.is_valid():
         raise AssertionError("forest partition produced an invalid decomposition")
     return decomp.num_forests, decomp
-
-
-def two_forest_decomposition(g: Graph) -> ForestDecomposition:
-    """Arboricity specialization for graphs decomposable into two forests."""
-    k, decomp = arboricity(g)
-    if k > 2:
-        cert = decomp.density_certificate()
-        if not cert.check(k):
-            raise AssertionError(f"density witness does not prove {k} forests")
-        raise PreconditionError(
-            f"graph needs {k} forests, not 2", certificate=cert)
-    return ForestDecomposition(g, decomp.assignment, 2)
-

@@ -10,6 +10,7 @@ on worker count.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -27,14 +28,13 @@ from .exact import (
     strong_arboricity_exact,
 )
 from .graphs import (
-    Graph,
     coloring_number,
     euler_planar_sanity,
     girth,
     graph6_lines,
     parse_graph6,
 )
-from .verify import EdgeColoring
+from .verify import EdgeColoring, replay_coloring_number
 # is_strongly_woody is not called here, but the hunt tracer (bench/spans.py)
 # patches it under this module's name, so the name stays bound.
 from .verify import is_strongly_woody  # noqa: F401
@@ -199,17 +199,6 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     return record
 
 
-def replay_coloring_number(g: Graph, order: list[int]) -> int:
-    """Max back-degree of the ordering plus one (upper bound on col)."""
-    pos = {v: i for i, v in enumerate(order)}
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("ordering is not a permutation of the vertices")
-    back = 0
-    for v in order:
-        back = max(back, sum(1 for w in g.adj[v] if pos[w] < pos[v]))
-    return back + 1
-
-
 def reverify_violation(record: dict, budget: Budget = HuntConfig.budget) -> bool:
     """Check a violation record using only its own contents.
 
@@ -362,16 +351,30 @@ def write_summary_csv(summary: dict, fh) -> None:
         writer.writerow([key, value])
 
 
+def read_text(path: str, encoding: str = "ascii") -> str:
+    """The text of a file. A byte that does not decode is a GraphFormatError
+    naming the file, the line and the byte offset in that line, as the hunt
+    names a malformed graph6 line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].split(b"\n")
+        raise GraphFormatError(f"{path}:{len(lines)}: byte 0x{data[exc.start]:02x} "
+                               f"is not {encoding}", len(lines[-1])) from None
+
+
 def parse_config_file(path: str) -> dict:
-    """key=value lines; blank lines and '#' comments ignored."""
+    """key=value lines of UTF-8 text; blank lines and '#' comments ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    # lines end at \n, \r or \r\n, as a file opened in text mode reads them
+    for raw in io.StringIO(read_text(path, "utf-8"), newline=None):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line: {raw.rstrip()}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out

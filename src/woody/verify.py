@@ -1,5 +1,6 @@
 """Edge/vertex coloring types and the woody / strongly woody / p-woody
-verifiers, with violation witnesses that re-verify independently.
+verifiers, with violation witnesses that re-verify independently, and the
+checks of a density witness (arb) and of a smallest-last order (col).
 
 A color class is "woody" material when it induces a forest. A coloring is
 strongly woody when additionally no broken cycle (a cycle minus one edge)
@@ -10,6 +11,7 @@ slow oracle enumerates cycles directly and is the authority in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import GuardError
@@ -433,3 +435,43 @@ def is_acyclic_vertex(f: VertexColoring) -> tuple[bool, BicoloredCycleWitness | 
         return True, None
     pair, verts, path = cycle
     return False, BicoloredCycleWitness(pair, verts, path)
+
+
+@dataclass(frozen=True)
+class DensityCertificate:
+    """A vertex subset H of graph. Its density |E(H)| / (|V(H)|-1), counted
+    over the induced edges, proves arb >= ceil(density) (Nash-Williams):
+    each forest covers at most |V(H)|-1 of those edges."""
+
+    graph: Graph
+    vertices: frozenset
+
+    @property
+    def num_edges(self) -> int:
+        """Edges of graph with both ends in the subset."""
+        vs = self.vertices
+        return sum(u in vs and v in vs for u, v in self.graph.edges)
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.num_edges, max(1, len(self.vertices) - 1))
+
+    def to_json(self) -> dict:
+        density = self.density
+        return {
+            "vertices": sorted(self.vertices),
+            "num_edges": self.num_edges,
+            "density": [density.numerator, density.denominator],
+        }
+
+    def check(self, k: int) -> bool:
+        """True iff the subset proves arb >= k: more than (k-1)(|H|-1) edges."""
+        return self.num_edges > (k - 1) * (len(self.vertices) - 1)
+
+
+def replay_coloring_number(g: Graph, order: list[int]) -> int:
+    """Max back-degree of the ordering plus one (upper bound on col)."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("ordering is not a permutation of the vertices")
+    pos = {v: i for i, v in enumerate(order)}
+    return 1 + max((sum(pos[w] < pos[v] for w in g.adj[v]) for v in order), default=0)

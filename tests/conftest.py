@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from woody.decompose import DensityCertificate
 from woody.errors import GuardError
 from woody.graphs import Graph, UnionFind, parse_graph6
-from woody.verify import EdgeColoring, is_strongly_woody
+from woody.verify import DensityCertificate, EdgeColoring, is_strongly_woody
 
 DATA = Path(__file__).parent / "data"
 

@@ -424,3 +424,50 @@ class TestHuntCommand:
         err = capsys.readouterr().err
         assert f"before the record of {corpus}:1 arrived" in err
         assert not report.exists()
+
+
+class TestUnreadableFiles:
+    # a byte that does not decode names its file, line and byte offset, as
+    # the hunt names a malformed graph6 line; \xa0 is no separator in an
+    # edge list, although latin-1 text would split on it
+    @pytest.mark.parametrize("data, line, offset, byte", [
+        (b"C\xc3\xa9\n", 1, 1, 0xc3), (b"3 3\n0 1\n1 2\n0\xa02\n", 4, 1, 0xa0)],
+        ids=["graph6", "edge-list"])
+    def test_non_ascii_graph_file(self, tmp_path, capsys, data, line, offset, byte):
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(data)
+        cp = write_coloring(tmp_path, [0, 1, 2])
+        for args in (["exact", str(bad), "--param", "strong-arb"], ["verify", str(bad), cp]):
+            assert main(args) == 2
+            assert capsys.readouterr().err == (
+                f"error: {bad}:{line}: byte 0x{byte:02x} is not ascii (byte offset {offset})\n")
+
+    def test_non_ascii_coloring_file(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, cycle_graph(4))
+        cp = tmp_path / "c.txt"
+        cp.write_bytes(b"0 1 0 1\n2 \xc3\n")
+        assert main(["verify", gp, str(cp)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cp}:2: byte 0xc3 is not ascii (byte offset 2)\n")
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, cycle_graph(4))
+        conf = tmp_path / "conf"
+        conf.write_bytes("provenance=café\n".encode() + b"seed=\xff\n")
+        assert main(["exact", gp, "--param", "strong-arb", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {conf}:2: byte 0xff is not utf-8 (byte offset 5)\n")
+
+    def test_a_directory_as_input_or_output(self, tmp_path, capsys):
+        # no traceback and no exit 1, which means an invalid coloring
+        gp = write_graph(tmp_path, cycle_graph(4))
+        out = tmp_path / "out"
+        out.mkdir()
+        for args in (["exact", str(out), "--param", "strong-arb"],
+                     ["hunt", str(out)],
+                     ["exact", gp, "--param", "strong-arb", "-o", str(out)],
+                     ["hunt", gp, "--report", str(out),
+                      "--summary", str(tmp_path / "s.csv")]):
+            assert main(args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(out) in err, args

@@ -13,11 +13,7 @@ from woody.construct import (
     product_coloring,
     triangle_free_planar_coloring,
 )
-from woody.decompose import (
-    ForestDecomposition,
-    arboricity,
-    two_forest_decomposition,
-)
+from woody.decompose import ForestDecomposition, arboricity
 from woody.errors import PreconditionError
 from woody.exact import acyclic_chromatic_exact, chromatic_exact
 from woody.graphs import (
@@ -35,7 +31,7 @@ from woody.verify import (
     is_strongly_woody,
 )
 
-from conftest import corpus_graphs, cube_graph, grid_graph
+from conftest import complete_bipartite, corpus_graphs, cube_graph, grid_graph
 
 
 class TestDerivedColoring:
@@ -140,6 +136,18 @@ class TestTriangleFreePlanarPipeline:
         with pytest.raises(PreconditionError) as err:
             triangle_free_planar_coloring(g)
         assert err.value.certificate is not None
+
+    def test_refuses_k12_12_with_a_checked_witness(self):
+        # K12,12 is triangle-free and its own density witness: 144 edges
+        # over 23 need 7 forests
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            triangle_free_planar_coloring(complete_bipartite(12, 12))
+        elapsed = time.perf_counter() - start
+        assert str(err.value) == "graph needs 7 forests, not 2"
+        cert = err.value.certificate
+        assert cert.vertices == frozenset(range(24)) and cert.check(7)
+        assert elapsed < 0.1
 
     def test_corpus(self):
         for g in corpus_graphs("triangle_free_planar_upto12.g6")[::9]:

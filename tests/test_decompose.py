@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woody.decompose import (
-    DensityCertificate,
     ForestDecomposition,
     _Partitioner,
     arboricity,
-    two_forest_decomposition,
 )
-from woody.errors import GuardError, PreconditionError
+from woody.errors import GuardError
 from woody.graphs import (
     Graph,
     UnionFind,
@@ -23,9 +21,9 @@ from woody.graphs import (
     path_graph,
     star_graph,
 )
+from woody.verify import DensityCertificate
 
 from conftest import (
-    complete_bipartite,
     connected_upto,
     corpus_graphs,
     fractional_arboricity_bruteforce,
@@ -406,39 +404,27 @@ class TestFractionalArboricity:
         assert cert.to_json() == {"vertices": [0, 1, 2], "num_edges": 2, "density": [1, 1]}
 
 
-class TestTwoForest:
-    def test_c4_and_k4(self):
+class TestDensityWitness:
+    def test_c4_and_k4_take_two_forests(self):
         for g in (cycle_graph(4), complete_graph(4)):
-            d = two_forest_decomposition(g)
-            assert d.num_forests == 2
-            assert d.is_valid()
+            k, d = arboricity(g)
+            assert k == d.num_forests == 2
+            assert d.is_valid() and d.density_certificate().check(2)
 
-    def test_forest_padded_to_two_classes(self):
-        d = two_forest_decomposition(path_graph(5))
-        assert d.num_forests == 2
-        assert d.is_valid()
+    def test_k5_witness_proves_three_forests(self):
+        k, d = arboricity(complete_graph(5))
+        cert = d.density_certificate()
+        assert k == 3 and cert.density == Fraction(5, 2) and cert.check(3)
 
-    def test_k5_rejected_with_certificate(self):
-        with pytest.raises(PreconditionError) as err:
-            two_forest_decomposition(complete_graph(5))
-        cert = err.value.certificate
-        assert cert is not None
-        assert cert.density == Fraction(5, 2)
-
-    @pytest.mark.parametrize("g, witness, k", [
-        (complete_bipartite(12, 12), range(24), 7),
-        (k5_with_pendant_path(995), range(5), 3),
-    ], ids=["K12,12", "K5-path-1000"])
-    def test_refuses_at_any_size_with_a_checked_witness(self, g, witness, k):
-        # K12,12 is its own witness; the 1,000-vertex graph has density
-        # bound 2, and the failed exchange search finds the K5 inside
+    def test_failed_search_finds_the_k5_in_a_long_path(self):
+        # the 1,000-vertex graph has density bound 2, and the failed
+        # exchange search finds the K5 inside
+        g = k5_with_pendant_path(995)
         start = time.perf_counter()
-        with pytest.raises(PreconditionError) as err:
-            two_forest_decomposition(g)
+        k, d = arboricity(g)
         elapsed = time.perf_counter() - start
-        assert str(err.value) == f"graph needs {k} forests, not 2"
-        cert = err.value.certificate
-        assert cert.vertices == frozenset(witness) and cert.check(k)
+        cert = d.density_certificate()
+        assert k == 3 and cert.vertices == frozenset(range(5)) and cert.check(3)
         assert elapsed < 0.1
 
 
@@ -447,3 +433,34 @@ class TestForestDecompositionType:
         g = cycle_graph(3)
         assert not ForestDecomposition(g, (0, 0, 0), 1).is_valid()
         assert ForestDecomposition(g, (0, 0, 1), 2).is_valid()
+
+    def test_validity_matches_a_union_find_per_class(self, connected_n6):
+        # is_valid is the woody check of the assignment read as an edge
+        # coloring; the reference joins each class in a union-find of its
+        # own, so the two share no code past UnionFind
+        def reference(g, assignment, k):
+            if len(assignment) != g.m or any(not 0 <= f < k for f in assignment):
+                return False
+            for f in range(k):
+                uf = UnionFind(g.n)
+                for e in range(g.m):
+                    if assignment[e] == f and not uf.union(*g.edges[e]):
+                        return False
+            return True
+
+        rng = random.Random(6)
+        verdicts = Counter()
+        for g in connected_n6:
+            for _ in range(4):
+                k = rng.randint(1, 3)
+                assignment = [rng.randrange(k) for _ in range(g.m)]
+                cases = [assignment, assignment[:-1], assignment + [0]]
+                if g.m:
+                    bad = list(assignment)
+                    bad[rng.randrange(g.m)] = rng.choice((-1, k))
+                    cases.append(bad)
+                for case in cases:
+                    want = reference(g, case, k)
+                    assert ForestDecomposition(g, tuple(case), k).is_valid() == want
+                    verdicts[want] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100

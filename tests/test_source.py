@@ -58,3 +58,57 @@ def test_oracles_import_nothing_from_the_solvers():
     assert any(name.startswith("woody.") for name in imported)
     for name in imported:
         assert not name.startswith(("woody.exact", "woody.construct")), name
+
+
+def woody_imports(path: Path) -> set[str]:
+    """The woody modules a package source file imports, relative or
+    absolute, by their name inside the package ("graphs", "exact", ...)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import stays inside the package
+                module = f"woody.{module}".rstrip(".")
+            # `from . import x` and `from woody import x` import modules
+            names = ([f"woody.{alias.name}" for alias in node.names]
+                     if module == "woody" else [module])
+        else:
+            continue
+        out.update(name.split(".")[1] for name in names if name.startswith("woody."))
+    return out
+
+
+@pytest.mark.parametrize("name", ["graphs.py", "verify.py"])
+def test_checkers_import_no_producer(name):
+    # every witness a hunt record carries is re-checked by graphs and
+    # verify alone, so neither may import the code that produces witnesses
+    imported = woody_imports(Path(woody.__file__).parent / name)
+    assert imported <= {"errors", "graphs"}, imported
+
+
+def test_certificate_checks_live_in_verify():
+    import woody.decompose
+    import woody.harness
+    import woody.verify
+
+    for name in ("DensityCertificate", "replay_coloring_number"):
+        assert getattr(woody.verify, name).__module__ == "woody.verify", name
+    # the producers re-use them under their old import paths
+    assert woody.decompose.DensityCertificate is woody.verify.DensityCertificate
+    assert woody.harness.replay_coloring_number is woody.verify.replay_coloring_number
+
+
+def test_digest_of_connected_n7_is_pinned():
+    # tools/digest.py hashes every arboricity decomposition and every ζ and
+    # χ_a value, node count and certificate of a corpus. Pinned so that a
+    # change meant to alter nothing is checked against the commit before
+    # it; a change that moves a certificate or a node count on purpose
+    # re-pins it, and its CHANGES.md entry says why.
+    root = Path(woody.__file__).parent.parent.parent
+    out = subprocess.run([sys.executable, "tools/digest.py", "tests/data/connected_n7.g6"],
+                         capture_output=True, text=True, cwd=root, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.stdout == ("908c600560430af5ac60cc90332db5351863a9e3eb59f7b00cf82bb5d19f5b94"
+                          "  tests/data/connected_n7.g6\n")
