@@ -10,7 +10,9 @@ counterexample is quarantined first).
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import sys
 
@@ -60,18 +62,22 @@ def load_graph_file(path: str) -> Graph:
 
     An edge-list file starts with an 'n m' digit header; graph6 bytes are
     all >= chr(63), so the two formats cannot collide. A graph6 file must
-    hold exactly one graph, its lines read by graphs.graph6_lines.
+    hold exactly one graph, its lines read by graphs.graph6_lines. A parse
+    error names the file, and for graph6 the line of the file.
     """
-    text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphFormatError(f"{path}: empty graph file")
-    if _EDGE_LIST_HEADER.match(lines[0]):
-        return parse_edge_list(text)
-    graphs = [line for _, line in graph6_lines(lines)]
-    if len(graphs) != 1:
-        raise GraphFormatError(f"{path}: holds {len(graphs)} graphs, expected one")
-    return parse_graph6(graphs[0])
+    text, where = read_text(path), path
+    try:
+        # lines end at \n, \r or \r\n and are numbered as the hunt numbers them
+        graphs = list(graph6_lines(io.StringIO(text, newline=None)))
+        if graphs and _EDGE_LIST_HEADER.match(graphs[0][1]):
+            return parse_edge_list(text)
+        if len(graphs) != 1:
+            raise GraphFormatError(f"holds {len(graphs)} graphs, expected one")
+        lineno, line = graphs[0]
+        where = f"{path}:{lineno}"
+        return parse_graph6(line)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{where}: {exc}") from None
 
 
 def load_coloring_file(path: str, g: Graph) -> EdgeColoring:
@@ -108,9 +114,7 @@ def cmd_verify(args) -> int:
         ok = is_p_woody(coloring, args.p, force=args.force)
         witness = None
     if ok:
-        # counts reported in normalized form; verification accepted raw colors
-        print(f"valid: {args.mode} coloring with palette "
-              f"{coloring.normalized().palette_size}")
+        print(f"valid: {args.mode} coloring with palette {_palette(coloring)}")
         return EXIT_OK
     print(f"invalid: {args.mode} coloring violated")
     if witness is not None:
@@ -119,7 +123,7 @@ def cmd_verify(args) -> int:
 
 
 def _palette(coloring) -> int:
-    return coloring.normalized().palette_size
+    return len(coloring.used_colors())
 
 
 def _color_acyclic(g: Graph, budget: Budget):
@@ -208,10 +212,11 @@ def cmd_exact(args) -> int:
     budget = _budget_from_args(args)
     res = _EXACT_PARAMS[args.param](g, budget)
     if res.exact:
-        print(f"{args.param} = {res.value} "
-              f"(nodes {res.nodes}, {res.seconds:.3f}s)")
+        # the certificate is written first: a result line means it was
         out = args.output or (args.graph + f".{args.param}.cert")
         write_coloring_file(out, res.certificate)
+        print(f"{args.param} = {res.value} "
+              f"(nodes {res.nodes}, {res.seconds:.3f}s)")
         print(f"certificate written to {out}")
         return EXIT_OK
     print(f"{args.param} inexact: bounds [{res.lower}, {res.upper}] "
@@ -236,22 +241,33 @@ def cmd_hunt(args) -> int:
         provenance=args.provenance or "",
         seed=args.seed or 0,
     )
+    # both outputs open before the first graph is solved, so a path that cannot
+    # be written, or one path for both (which would mix them), fails at once; a
+    # hunt that stops on an error removes them again (regular files only)
+    if os.path.realpath(args.report) == os.path.realpath(args.summary):
+        raise ValueError("--report and --summary name the same file")
+    files, done = [], False
     try:
-        outcome = run_hunt(args.corpus, config,
-                           jobs=1 if args.jobs is None else args.jobs)
+        files.append(open(args.report, "w", encoding="ascii"))
+        # corpus paths and provenance may be any text; a path that is not
+        # valid UTF-8 reaches argv as surrogates, written back as its bytes
+        files.append(open(args.summary, "w", encoding="utf-8",
+                          errors="surrogateescape", newline=""))
+        outcome = run_hunt(args.corpus, config, jobs=1 if args.jobs is None else args.jobs)
+        write_jsonl(outcome.records, files[0])
+        write_summary_csv(outcome.summary, files[1])
+        done = True
     except GraphFormatError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except WorkerCrashError as exc:
         print(f"hunt aborted: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    with open(args.report, "w", encoding="ascii") as fh:
-        write_jsonl(outcome.records, fh)
-    # corpus paths and provenance may be any text; a path that is not valid
-    # UTF-8 reaches argv as surrogates, which are written back as its bytes
-    with open(args.summary, "w", encoding="utf-8", errors="surrogateescape",
-              newline="") as fh:
-        write_summary_csv(outcome.summary, fh)
+    finally:
+        for fh in files:
+            fh.close()
+            if not done and os.path.isfile(fh.name):
+                os.remove(fh.name)
     print(f"report: {args.report} ({len(outcome.records)} records)")
     print(f"summary: {args.summary}")
     if outcome.violations:

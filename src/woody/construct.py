@@ -31,13 +31,8 @@ def derived_coloring(g: Graph, f: VertexColoring, k: int) -> EdgeColoring:
     """
     if f.parent is not g:
         raise ValueError("vertex coloring belongs to a different graph")
-    if not f.total:
-        raise ValueError("vertex coloring must be total")
-    if k < 1 and f.colors:  # the 0-vertex graph has χ = χ_a = 0
-        raise ValueError("palette size must be positive")
-    for v, c in enumerate(f.colors):
-        if c >= k:
-            raise ValueError(f"vertex {v} has color {c} outside 0..{k - 1}")
+    if f.palette_size > k:  # the 0-vertex graph has χ = χ_a = 0
+        raise ValueError(f"vertex color {f.palette_size - 1} outside 0..{k - 1}")
     colors = [(f.colors[u] + f.colors[v]) % k for u, v in g.edges]
     return EdgeColoring(g, colors)
 
@@ -101,8 +96,6 @@ def product_coloring(g: Graph, a: EdgeColoring, b: EdgeColoring) -> EdgeColoring
     """
     if a.parent is not g or b.parent is not g:
         raise ValueError("colorings belong to a different graph")
-    if not (a.total and b.total):
-        raise ValueError("product needs total colorings")
     width = b.palette_size
     return EdgeColoring(g, [x * width + y for x, y in zip(a.colors, b.colors)]).normalized()
 

@@ -6,7 +6,8 @@ The coloring solvers are iterative-deepening branch and bound with
 canonical-palette symmetry breaking (a new color index may be used only
 once all smaller indices appear) and incremental feasibility state undone
 on backtrack. Every certificate is re-verified before it is returned;
-budget exhaustion yields explicit bounds instead of a guess.
+budget exhaustion yields explicit bounds, the upper one with a verified
+coloring, instead of a guess.
 
 ζ, χ_a, χ, χ′ and the partition search branch in one forward-checked,
 most-constrained-first search (_search_colors) on an explicit trail, not
@@ -53,14 +54,14 @@ class Budget:
 class SolveResult:
     """Outcome of an exact solve.
 
-    exact results carry value == lower == upper and a re-verified
-    certificate; inexact results carry the bounds proven before the budget
-    ran out (upper may be None when no feasible coloring is known).
+    exact results carry value == lower == upper, inexact ones the lower
+    bound proven before the budget ran out; either way the certificate is
+    a re-verified coloring whose palette is upper.
     """
 
     value: int | None
     lower: int
-    upper: int | None
+    upper: int
     exact: bool
     certificate: object
     nodes: int
@@ -112,7 +113,8 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
     k colors, or None when k colors do not suffice. The first coloring
     found is normalized and passed through verify.verified with check.
     If the budget runs out at level k, k is the proven lower bound and
-    exhausted() gives the (upper bound, certificate) to report.
+    exhausted() gives a coloring, passed through verified with check too,
+    whose palette is the upper bound to report.
     """
     t0 = time.monotonic()
     ticker = _Ticker(budget, t0)
@@ -123,9 +125,9 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
         try:
             found = search(k, ticker)
         except _BudgetExhausted:
-            upper, certificate = exhausted()
-            return SolveResult(None, k, upper, False, certificate, ticker.nodes,
-                               time.monotonic() - t0)
+            certificate = verified(exhausted(), check)
+            return SolveResult(None, k, certificate.palette_size, False, certificate,
+                               ticker.nodes, time.monotonic() - t0)
         if found is not None:
             return SolveResult(k, k, k, True,
                                verified(coloring_type(g, found).normalized(), check),
@@ -375,15 +377,10 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     exhaustion the square pipeline's coloring is the reported upper bound.
     """
     order = _edge_order(g)
-
-    def fallback():
-        coloring = arboricity_square_coloring(g)
-        return coloring.palette_size, coloring
-
     return _deepen(
         g, budget, EdgeColoring, lambda: strong_arboricity_lower_bound(g, arb, omega),
         lambda k, ticker: _search_strongly_woody(g, k, order, ticker),
-        is_strongly_woody, fallback)
+        is_strongly_woody, lambda: arboricity_square_coloring(g))
 
 
 def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
@@ -469,7 +466,7 @@ def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None,
     return _deepen(
         g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g, omega),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
-        is_acyclic_vertex, lambda: (g.n, None))
+        is_acyclic_vertex, lambda: VertexColoring(g, range(g.n)))
 
 
 def chromatic_exact(g: Graph, budget: Budget | None = None,
@@ -481,7 +478,7 @@ def chromatic_exact(g: Graph, budget: Budget | None = None,
         g, budget, VertexColoring,
         lambda: max_clique_size(g) if omega is None else omega,
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
-        lambda c: (is_proper_vertex(c), None), lambda: (g.n, None))
+        lambda c: (is_proper_vertex(c), None), lambda: VertexColoring(g, range(g.n)))
 
 
 def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
@@ -498,7 +495,7 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
         g, budget, EdgeColoring,
         lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
         lambda k, ticker: _search_proper(line, k, order, ticker),
-        lambda c: (is_proper_edge(c), None), lambda: (None, None))
+        lambda c: (is_proper_edge(c), None), lambda: EdgeColoring(g, range(g.m)))
 
 
 @dataclass(frozen=True)

@@ -369,12 +369,12 @@ def parse_config_file(path: str) -> dict:
     """key=value lines of UTF-8 text; blank lines and '#' comments ignored."""
     out: dict[str, str] = {}
     # lines end at \n, \r or \r\n, as a file opened in text mode reads them
-    for raw in io.StringIO(read_text(path, "utf-8"), newline=None):
+    for lineno, raw in enumerate(io.StringIO(read_text(path, "utf-8"), newline=None), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw.rstrip()}")
+            raise ValueError(f"{path}:{lineno}: bad config line: {raw.rstrip()}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

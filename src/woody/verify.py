@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GuardError
 from .graphs import Graph, UnionFind, subset_adjacency, tree_walk
@@ -21,64 +21,52 @@ ORACLE_MAX_VERTICES = 10
 
 
 class _Coloring:
-    """A map from edge or vertex index to color index; entries may be None
-    (unassigned).
+    """A total map from edge or vertex index to color index. The
+    constructor is the one check of a coloring's shape (its length, and a
+    nonnegative int in every entry); all other code relies on it.
 
-    palette_size is 1 + max assigned color, which matches the number of
-    colors only in normalized form; verifiers accept unnormalized input.
-    Subclasses name the Graph attribute that gives the length (m or n).
+    palette_size is 1 + max color, which matches the number of colors only
+    in normalized form; verifiers accept unnormalized input. Subclasses
+    name the Graph attribute that gives the length (m or n).
     """
 
     __slots__ = ("parent", "colors")
     _length = ""
+    total = True  # every coloring is; kept for callers that test it
 
     @classmethod
     def length_for(cls, parent: Graph) -> int:
         """Number of entries a coloring of parent has."""
         return getattr(parent, cls._length)
 
-    def __init__(self, parent: Graph, colors: Sequence[int | None]):
+    def __init__(self, parent: Graph, colors: Sequence[int]):
         colors = tuple(colors)
         expected = self.length_for(parent)
         if len(colors) != expected:
             raise ValueError(f"expected {expected} entries, got {len(colors)}")
         for c in colors:
-            if c is not None and (not isinstance(c, int) or c < 0):
+            if not isinstance(c, int) or c < 0:
                 raise ValueError(f"bad color {c!r}")
         self.parent = parent
         self.colors = colors
 
     @property
-    def total(self) -> bool:
-        return all(c is not None for c in self.colors)
-
-    @property
     def palette_size(self) -> int:
-        assigned = [c for c in self.colors if c is not None]
-        return 1 + max(assigned) if assigned else 0
+        return 1 + max(self.colors, default=-1)
 
     def used_colors(self) -> set[int]:
-        return {c for c in self.colors if c is not None}
+        return set(self.colors)
 
     def classes(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for i, c in enumerate(self.colors):
-            if c is not None:
-                out.setdefault(c, []).append(i)
+            out.setdefault(c, []).append(i)
         return out
 
     def normalized(self) -> "_Coloring":
         """Renumber colors by first appearance in index order."""
         remap: dict[int, int] = {}
-        out: list[int | None] = []
-        for c in self.colors:
-            if c is None:
-                out.append(None)
-                continue
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return type(self)(self.parent, out)
+        return type(self)(self.parent, [remap.setdefault(c, len(remap)) for c in self.colors])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.colors)})"
@@ -185,6 +173,21 @@ class BicoloredCycleWitness:
         return _edges_follow(g, self.edges, verts)
 
 
+# a NamedTuple: a frozen dataclass would cost about 0.5 ms more at import
+class MonochromaticEdgeWitness(NamedTuple):
+    """An edge whose two ends share a color, refuting properness."""
+
+    edge: int
+    color: int
+
+    def to_json(self) -> dict:
+        return {"kind": "monochromatic_edge", "edge": self.edge, "color": self.color}
+
+    def check(self, coloring: VertexColoring) -> bool:
+        u, v = coloring.parent.edges[self.edge]
+        return coloring.colors[u] == coloring.colors[v] == self.color
+
+
 def verified(coloring, check):
     """coloring, once check(coloring) returns (True, witness); otherwise an
     AssertionError naming the witness. Every producer passes its output
@@ -194,11 +197,6 @@ def verified(coloring, check):
     if not ok:
         raise AssertionError(f"{type(coloring).__name__} failed verification: {witness}")
     return coloring
-
-
-def _require_total(c) -> None:
-    if not c.total:
-        raise ValueError("coloring is partial; verifiers need a total coloring")
 
 
 def _class_path(g: Graph, class_edges: list[int], src: int, dst: int
@@ -265,7 +263,6 @@ def _port_forest(g: Graph, labels: Sequence) -> tuple[tuple | None, list[dict], 
 def _woody_ports(c: EdgeColoring):
     """is_woody's witness, and _port_forest's ports and union-find for
     is_strongly_woody to reuse."""
-    _require_total(c)
     cycle, ports, uf = _port_forest(c.parent, c.colors)
     witness = None
     if cycle is not None:
@@ -371,7 +368,6 @@ def is_strongly_woody_oracle(c: EdgeColoring, force: bool = False) -> bool:
 
     Enumerates all cycles and all single-edge deletions. Test-only oracle.
     """
-    _require_total(c)
     g = c.parent
     _guard_enumeration(g, force)
     for cyc in enumerate_cycles(g):
@@ -387,7 +383,6 @@ def is_p_woody(c: EdgeColoring, p: int, force: bool = False) -> bool:
     """True iff every cycle C carries at least min(|C|, p+1) colors."""
     if p < 1:
         raise ValueError("p must be positive")
-    _require_total(c)
     g = c.parent
     _guard_enumeration(g, force)
     for cyc in enumerate_cycles(g):
@@ -399,14 +394,11 @@ def is_p_woody(c: EdgeColoring, p: int, force: bool = False) -> bool:
 
 
 def is_proper_vertex(f: VertexColoring) -> bool:
-    _require_total(f)
-    g = f.parent
-    return all(f.colors[u] != f.colors[v] for u, v in g.edges)
+    return all(f.colors[u] != f.colors[v] for u, v in f.parent.edges)
 
 
 def is_proper_edge(c: EdgeColoring) -> bool:
     """No two edges with a common end share a color."""
-    _require_total(c)
     ends: set[tuple[int, int]] = set()
     for (u, v), color in zip(c.parent.edges, c.colors):
         if (u, color) in ends or (v, color) in ends:
@@ -415,20 +407,21 @@ def is_proper_edge(c: EdgeColoring) -> bool:
     return True
 
 
-def is_acyclic_vertex(f: VertexColoring) -> tuple[bool, BicoloredCycleWitness | None]:
+def is_acyclic_vertex(f: VertexColoring) -> tuple[
+        bool, BicoloredCycleWitness | MonochromaticEdgeWitness | None]:
     """Proper and no cycle uses only two colors.
 
-    The edges between each pair of color classes form one class of
-    _port_forest, pairs in sorted order; a cycle in a class is the bicolored
-    cycle witness.
+    The first edge (in index order) whose ends share a color is the
+    witness of an improper coloring. Otherwise the edges between each pair
+    of color classes form one class of _port_forest, pairs in sorted order;
+    a cycle in a class is the bicolored cycle witness.
     """
-    _require_total(f)
-    if not is_proper_vertex(f):
-        return False, None
     g = f.parent
     pairs = []
-    for u, v in g.edges:
+    for e, (u, v) in enumerate(g.edges):
         a, b = f.colors[u], f.colors[v]
+        if a == b:
+            return False, MonochromaticEdgeWitness(e, a)
         pairs.append((a, b) if a < b else (b, a))
     cycle, _, _ = _port_forest(g, pairs)
     if cycle is None:

@@ -471,3 +471,47 @@ class TestUnreadableFiles:
             assert main(args) == 2, args
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(out) in err, args
+
+    def test_parse_errors_name_the_file_and_line(self, tmp_path, capsys):
+        # graph6 lines are counted as the file counts them, blank ones too
+        bad = tmp_path / "bad.g6"
+        bad.write_text("\nD?\x01\n")
+        assert main(["exact", str(bad), "--param", "strong-arb"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: character '\\x01' out of printable range (byte offset 2)\n")
+        edges = tmp_path / "g.txt"
+        edges.write_text("2 1\n1 x\n")
+        assert main(["exact", str(edges), "--param", "strong-arb"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {edges}: bad endpoint in edge 0: ")
+        conf = tmp_path / "conf"
+        conf.write_text("seed=1\nbogus\n")
+        gp = write_graph(tmp_path, cycle_graph(4))
+        assert main(["exact", gp, "--param", "strong-arb", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == f"error: {conf}:2: bad config line: bogus\n"
+
+    def test_an_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch):
+        import woody.harness
+
+        def never(task):
+            raise AssertionError("a graph was solved before the outputs were opened")
+
+        monkeypatch.setattr(woody.harness, "hunt_graph", never)
+        gp = write_graph(tmp_path, cycle_graph(4))
+        out = tmp_path / "out"
+        out.mkdir()
+        report, summary = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        for args in (["--report", str(out), "--summary", str(summary)],
+                     ["--report", str(report), "--summary", str(out)]):
+            assert main(["hunt", gp] + args) == 2, args
+            assert str(out) in capsys.readouterr().err, args
+            # an output opened before the failing one is removed again
+            assert not report.exists() and not summary.exists(), args
+        # one file for both would hold the summary over the report's tail
+        assert main(["hunt", gp, "--report", str(report), "--summary",
+                     str(tmp_path / "." / "r.jsonl")]) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not report.exists()
+        # exact writes its certificate before it prints a result
+        assert main(["exact", gp, "--param", "strong-arb", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(out) in captured.err

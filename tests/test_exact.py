@@ -167,13 +167,14 @@ class TestStrongArboricity:
         assert zeta_oracle(complete_bipartite(2, 3))[1] == 23
 
     def test_edgeless_and_exhausted_results_are_pinned(self):
-        # (value, lower, upper, exact, certificate colors) of all four solvers
+        # (value, lower, upper, exact, certificate colors) of all four solvers;
+        # an exhausted solve reports the palette of a verified coloring as
+        # its upper bound: square for ζ, all colors distinct for the others
         solvers = (strong_arboricity_exact, acyclic_chromatic_exact,
                    chromatic_exact, chromatic_index_exact)
 
         def outcome(res):
-            cert = None if res.certificate is None else res.certificate.colors
-            return res.value, res.lower, res.upper, res.exact, cert
+            return res.value, res.lower, res.upper, res.exact, res.certificate.colors
 
         assert [outcome(f(Graph(0, []))) for f in solvers] == [(0, 0, 0, True, ())] * 4
         assert [outcome(f(Graph(3, []))) for f in solvers] == [
@@ -183,8 +184,8 @@ class TestStrongArboricity:
         k6 = complete_graph(6)
         square = (0, 1, 2, 3, 4, 5, 3, 6, 7, 4, 8, 9, 10, 11, 12)
         assert [outcome(f(k6, tight)) for f in solvers] == [
-            (None, 5, 13, False, square), (None, 6, 6, False, None),
-            (None, 6, 6, False, None), (None, 5, None, False, None)]
+            (None, 5, 13, False, square), (None, 6, 6, False, tuple(range(6))),
+            (None, 6, 6, False, tuple(range(6))), (None, 5, 15, False, tuple(range(15)))]
         assert type(strong_arboricity_exact(Graph(0, [])).certificate) is EdgeColoring
         assert type(chromatic_exact(Graph(0, [])).certificate) is VertexColoring
 

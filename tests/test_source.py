@@ -101,14 +101,16 @@ def test_certificate_checks_live_in_verify():
 
 
 def test_digest_of_connected_n7_is_pinned():
-    # tools/digest.py hashes every arboricity decomposition and every ζ and
-    # χ_a value, node count and certificate of a corpus. Pinned so that a
-    # change meant to alter nothing is checked against the commit before
-    # it; a change that moves a certificate or a node count on purpose
-    # re-pins it, and its CHANGES.md entry says why.
+    # tools/digest.py hashes every arboricity decomposition, every ζ and χ_a
+    # value, node count and certificate, every square pipeline coloring and
+    # the woody and strongly woody verdicts (with witnesses) of the all-zero
+    # coloring of each graph of a corpus. Pinned so that a change meant to
+    # alter nothing is checked against the commit before it; a change that
+    # moves a certificate or a node count on purpose re-pins it, and its
+    # CHANGES.md entry says why.
     root = Path(woody.__file__).parent.parent.parent
     out = subprocess.run([sys.executable, "tools/digest.py", "tests/data/connected_n7.g6"],
                          capture_output=True, text=True, cwd=root, check=True,
                          env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert out.stdout == ("908c600560430af5ac60cc90332db5351863a9e3eb59f7b00cf82bb5d19f5b94"
+    assert out.stdout == ("ee9e8923816d8e842ed3ce7e34a92ef2ef7c06456b4800df5ae4787a2b795170"
                           "  tests/data/connected_n7.g6\n")

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from woody.verify import (
     BicoloredCycleWitness,
     BrokenCycleWitness,
     EdgeColoring,
+    MonochromaticEdgeWitness,
     VertexColoring,
     _class_path,
     enumerate_cycles,
@@ -30,6 +32,7 @@ from woody.verify import (
     is_strongly_woody,
     is_strongly_woody_oracle,
     is_woody,
+    verified,
 )
 
 from conftest import (
@@ -46,10 +49,15 @@ from conftest import (
 class TestEdgeColoringType:
     def test_palette_and_classes(self):
         g = cycle_graph(4)
-        c = EdgeColoring(g, [0, 2, 0, None])
-        assert not c.total
-        assert c.palette_size == 3
-        assert c.classes() == {0: [0, 2], 2: [1]}
+        c = EdgeColoring(g, [0, 2, 0, 2])
+        assert c.total
+        assert c.palette_size == 3 and c.used_colors() == {0, 2}
+        assert c.classes() == {0: [0, 2], 2: [1, 3]}
+        # the empty coloring of a graph with no edges
+        empty = EdgeColoring(Graph(3, []), [])
+        assert empty.palette_size == 0 and empty.used_colors() == set()
+        assert empty.normalized().colors == () and empty.classes() == {}
+        assert VertexColoring(Graph(0, []), []).normalized().palette_size == 0
 
     def test_normalized_renumbers_by_first_appearance(self):
         g = cycle_graph(4)
@@ -63,12 +71,15 @@ class TestEdgeColoringType:
         with pytest.raises(ValueError):
             EdgeColoring(g, [0, 1, 2, -1])
 
-    def test_partial_rejected_by_verifiers(self):
+    def test_partial_and_bad_entries_refused_at_construction(self):
+        # a coloring is total: its shape is checked once, where it is built,
+        # so a None entry is refused like any other value that is no color
         g = cycle_graph(4)
-        c = EdgeColoring(g, [0, 1, 2, None])
-        for fn in (is_woody, is_strongly_woody):
-            with pytest.raises(ValueError):
-                fn(c)
+        for bad in (None, -1, 1.0, "1"):
+            with pytest.raises(ValueError, match=re.escape(f"bad color {bad!r}")):
+                EdgeColoring(g, [0, 1, 2, bad])
+            with pytest.raises(ValueError, match=re.escape(f"bad color {bad!r}")):
+                VertexColoring(g, [bad, 0, 1, 0])
 
     def test_vertex_coloring_shares_the_implementation(self):
         # one implementation, two types: the length is n instead of m
@@ -92,8 +103,6 @@ class TestEdgeColoringType:
         assert not is_proper_edge(EdgeColoring(g, [0, 0, 1, 2]))
         # edges 1 = (1, 2) and 3 = (0, 3) are disjoint
         assert is_proper_edge(EdgeColoring(g, [0, 1, 2, 1]))
-        with pytest.raises(ValueError):
-            is_proper_edge(EdgeColoring(g, [0, 1, None, 1]))
 
 
 class TestIsWoody:
@@ -291,6 +300,20 @@ class TestVertexVerifiers:
         assert not is_proper_vertex(f)
         assert not is_acyclic_vertex(f)[0]
 
+    def test_improper_certificate_names_its_edge(self):
+        # the gate names the first edge whose ends share a color, and the
+        # witness re-checks against the coloring alone
+        g = cycle_graph(4)
+        f = VertexColoring(g, [0, 0, 1, 2])
+        named = r"failed verification: MonochromaticEdgeWitness\(edge=0, color=0\)"
+        with pytest.raises(AssertionError, match=named):
+            verified(f, is_acyclic_vertex)
+        witness = is_acyclic_vertex(f)[1]
+        assert witness.to_json() == {"kind": "monochromatic_edge", "edge": 0, "color": 0}
+        assert witness.check(f)
+        assert not witness.check(VertexColoring(g, [0, 1, 0, 2]))
+        assert not MonochromaticEdgeWitness(2, 0).check(f)
+
     def test_star_two_colors(self):
         g = star_graph(5)
         ok, _ = is_acyclic_vertex(VertexColoring(g, [0, 1, 1, 1, 1, 1]))
@@ -382,9 +405,10 @@ def ref_is_strongly_woody(c):
 
 
 def ref_is_acyclic_vertex(f):
-    if not is_proper_vertex(f):
-        return False, None
     g = f.parent
+    for idx, (u, v) in enumerate(g.edges):
+        if f.colors[u] == f.colors[v]:
+            return False, MonochromaticEdgeWitness(idx, f.colors[u])
     by_pair = {}
     for idx, (u, v) in enumerate(g.edges):
         a, b = f.colors[u], f.colors[v]
