@@ -242,10 +242,12 @@ def cmd_hunt(args) -> int:
         seed=args.seed or 0,
     )
     # both outputs open before the first graph is solved, so a path that cannot
-    # be written, or one path for both (which would mix them), fails at once; a
-    # hunt that stops on an error removes them again (regular files only)
-    if os.path.realpath(args.report) == os.path.realpath(args.summary):
-        raise ValueError("--report and --summary name the same file")
+    # be written, or one path for two outputs (the later would overwrite the
+    # earlier), fails at once; a hunt that stops on an error removes them
+    # again (regular files only)
+    outputs = (args.report, args.summary, args.quarantine)
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        raise ValueError("two of --report, --summary and --quarantine name the same file")
     files, done = [], False
     try:
         files.append(open(args.report, "w", encoding="ascii"))

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 from .construct import arboricity_square_coloring
 from .decompose import arboricity
-from .graphs import Graph, connected_components, has_cycle, has_triangle
+from .graphs import Graph, coloring_number, connected_components, has_cycle, has_triangle
 from .verify import (
     EdgeColoring,
     VertexColoring,
+    check_proper_vertex,
     is_acyclic_vertex,
     is_proper_edge,
-    is_proper_vertex,
     is_strongly_woody,
     verified,
 )
@@ -135,40 +135,21 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
         k += 1
 
 
-def max_clique_size(g: Graph, vertices=None) -> int:
-    """Clique number ω of g, or of the subgraph induced by `vertices`.
+def max_clique_size(g: Graph, order: list[int] | None = None) -> int:
+    """Clique number ω of g: exact branch and bound on vertex bitsets.
 
-    Exact branch and bound on vertex bitsets, built from the members
-    alone, on up to 24 vertices. A whole graph on more is 1 + the largest
-    clique inside some N(v), as a maximum clique lies in N(v) plus v for
-    each of its vertices v: exact while no degree exceeds 24. A larger
-    subset, such as a hub's neighbourhood, takes one greedy clique per
-    start vertex; that is still a clique, hence a sound lower bound
-    wherever this feeds one.
+    Bit j is the j-th vertex removed in the smallest-last order, so every
+    vertex branches only on its later neighbours, of which there are at
+    most the degeneracy. order, when given, is read as coloring_number(g)[1]:
+    any order of the vertices gives ω, and that one bounds the branching;
+    a caller that already has it spares a second peel.
     """
-    verts = range(g.n) if vertices is None else sorted(vertices)
-    if vertices is None and len(verts) > 24:
-        best = 0
-        for nb in g.adj:
-            if len(nb) > best:
-                best = max(best, max_clique_size(g, nb))
-        return best + 1
-    if len(verts) > 24:
-        # one greedy clique per start vertex, grown from its neighbours only
-        nbr = {v: g.neighbor_set(v) for v in verts}
-        vset = set(verts)
-        best = 0
-        for v in verts:  # the maximum over all starts needs no order
-            clique = {v}
-            for w in sorted(nbr[v] & vset):
-                if all(w in nbr[u] for u in clique):
-                    clique.add(w)
-            best = max(best, len(clique))
-        return best
-    bit = {v: 1 << j for j, v in enumerate(verts)}
-    # the intersection runs over bit, never over a hub's neighbours
-    adj = [sum(map(bit.get, g.neighbor_set(v).intersection(bit))) for v in verts]
-    return _grow_clique(adj, (1 << len(verts)) - 1, 0, 0)
+    removal = (coloring_number(g)[1] if order is None else order)[::-1]
+    bit = [0] * g.n
+    for j, v in enumerate(removal):
+        bit[v] = 1 << j
+    adj = [sum(map(bit.__getitem__, g.adj[v])) for v in removal]
+    return _grow_clique(adj, (1 << g.n) - 1, 0, 0)
 
 
 def _grow_clique(adj: list[int], cand: int, size: int, best: int) -> int:
@@ -478,7 +459,7 @@ def chromatic_exact(g: Graph, budget: Budget | None = None,
         g, budget, VertexColoring,
         lambda: max_clique_size(g) if omega is None else omega,
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
-        lambda c: (is_proper_vertex(c), None), lambda: VertexColoring(g, range(g.n)))
+        check_proper_vertex, lambda: VertexColoring(g, range(g.n)))
 
 
 def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult:

@@ -129,8 +129,9 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     gir = staged("girth", lambda: girth(g))
     col, col_order = staged("col", lambda: coloring_number(g))
     arb_k, decomp = staged("arb", lambda: arboricity(g, (col, col_order)))
-    # one clique number for the lower bounds of every solver below
-    omega = max_clique_size(g)
+    # one clique number for the lower bounds of every solver below, searched
+    # in the smallest-last order the col column already peeled
+    omega = max_clique_size(g, col_order)
     chi = None
     if config.with_chi:
         chi_res = staged("chi", lambda: chromatic_exact(g, config.budget, omega))

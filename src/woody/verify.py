@@ -407,22 +407,29 @@ def is_proper_edge(c: EdgeColoring) -> bool:
     return True
 
 
+def check_proper_vertex(f: VertexColoring) -> tuple[bool, MonochromaticEdgeWitness | None]:
+    """True when no edge has both ends in one color; otherwise the first
+    such edge (in index order) is the witness."""
+    for e, (u, v) in enumerate(f.parent.edges):
+        if f.colors[u] == f.colors[v]:
+            return False, MonochromaticEdgeWitness(e, f.colors[u])
+    return True, None
+
+
 def is_acyclic_vertex(f: VertexColoring) -> tuple[
         bool, BicoloredCycleWitness | MonochromaticEdgeWitness | None]:
-    """Proper and no cycle uses only two colors.
+    """Proper (check_proper_vertex) and no cycle uses only two colors.
 
-    The first edge (in index order) whose ends share a color is the
-    witness of an improper coloring. Otherwise the edges between each pair
-    of color classes form one class of _port_forest, pairs in sorted order;
-    a cycle in a class is the bicolored cycle witness.
+    The edges between each pair of color classes form one class of
+    _port_forest, pairs in sorted order; a cycle in a class is the
+    bicolored cycle witness.
     """
-    g = f.parent
-    pairs = []
-    for e, (u, v) in enumerate(g.edges):
-        a, b = f.colors[u], f.colors[v]
-        if a == b:
-            return False, MonochromaticEdgeWitness(e, a)
-        pairs.append((a, b) if a < b else (b, a))
+    ok, witness = check_proper_vertex(f)
+    if not ok:
+        return False, witness
+    g, colors = f.parent, f.colors
+    pairs = [(a, b) if a < b else (b, a)
+             for a, b in ((colors[u], colors[v]) for u, v in g.edges)]
     cycle, _, _ = _port_forest(g, pairs)
     if cycle is None:
         return True, None

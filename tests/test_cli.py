@@ -511,6 +511,14 @@ class TestUnreadableFiles:
                      str(tmp_path / "." / "r.jsonl")]) == 2
         assert "name the same file" in capsys.readouterr().err
         assert not report.exists()
+        # a quarantine on either output would overwrite it with the violations
+        for target in (report, summary):
+            target.write_text("kept\n")
+            assert main(["hunt", gp, "--report", str(report), "--summary", str(summary),
+                         "--quarantine", str(target)]) == 2, target
+            assert "name the same file" in capsys.readouterr().err
+            assert target.read_text() == "kept\n"
+            target.unlink()
         # exact writes its certificate before it prints a result
         assert main(["exact", gp, "--param", "strong-arb", "-o", str(out)]) == 2
         captured = capsys.readouterr()

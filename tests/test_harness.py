@@ -257,24 +257,33 @@ class TestRunHunt:
 
     def test_clique_number_runs_once_per_hunted_graph(self, monkeypatch):
         # hunt_graph hands one omega to the lower bounds of chi, chi_a and
-        # zeta; the calls on a vertex subset come from inside the search
+        # zeta, and the clique search reads the smallest-last order of the
+        # col column rather than peeling the graph again
+        import woody.construct
+        import woody.decompose
         import woody.exact
+        import woody.graphs
         import woody.harness
 
-        calls = []
+        calls, peels = [], []
         real = woody.exact.max_clique_size
 
-        def counted(g, vertices=None):
-            if vertices is None:
-                calls.append(g)
-            return real(g, vertices)
+        def counted(g, order=None):
+            calls.append(g)
+            return real(g, order)
+
+        def peeled(g):
+            peels.append(g)
+            return woody.graphs.coloring_number(g)
 
         for module in (woody.harness, woody.exact):
             monkeypatch.setattr(module, "max_clique_size", counted)
+        for module in (woody.harness, woody.decompose, woody.construct, woody.exact):
+            monkeypatch.setattr(module, "coloring_number", peeled)
         config = HuntConfig(with_chi=True)
         outcome = run_hunt([str(DATA / "planar_connected_n6.g6")], config, jobs=1)
         assert outcome.exit_code == 0
-        assert len(outcome.records) == len(calls) == 99
+        assert len(outcome.records) == len(calls) == len(peels) == 99
         assert {rec["chi"] for rec in outcome.records} == {2, 3, 4}
 
     def test_twoarb_holds_on_small_cliques(self, tmp_path):

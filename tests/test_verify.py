@@ -24,6 +24,7 @@ from woody.verify import (
     MonochromaticEdgeWitness,
     VertexColoring,
     _class_path,
+    check_proper_vertex,
     enumerate_cycles,
     is_acyclic_vertex,
     is_p_woody,
@@ -309,6 +310,8 @@ class TestVertexVerifiers:
         with pytest.raises(AssertionError, match=named):
             verified(f, is_acyclic_vertex)
         witness = is_acyclic_vertex(f)[1]
+        assert check_proper_vertex(f) == (False, witness)
+        assert check_proper_vertex(VertexColoring(g, [0, 1, 0, 1])) == (True, None)
         assert witness.to_json() == {"kind": "monochromatic_edge", "edge": 0, "color": 0}
         assert witness.check(f)
         assert not witness.check(VertexColoring(g, [0, 1, 0, 2]))
