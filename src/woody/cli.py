@@ -19,9 +19,8 @@ import sys
 from .construct import (
     _square_coloring,
     derived_coloring,
-    depth_parity_shading,
     partition_coloring,
-    product_coloring,
+    shaded_product,
     triangle_free_planar_coloring,
 )
 from .decompose import arboricity
@@ -155,9 +154,7 @@ def _color_product(g: Graph, budget: Budget):
         raise PreconditionError(
             f"chromatic solve inexact (bounds {chi_res.lower}..{chi_res.upper})")
     ell, decomp = arboricity(g)
-    derived = derived_coloring(g, chi_res.certificate, chi_res.value)
-    shaded = depth_parity_shading(decomp)
-    coloring = verified(product_coloring(g, derived, shaded), is_strongly_woody)
+    coloring = shaded_product(g, chi_res.certificate, decomp)
     return coloring, (
         f"palette {_palette(coloring)} <= 2 * chi * arb = {2 * chi_res.value * ell}")
 
@@ -242,12 +239,16 @@ def cmd_hunt(args) -> int:
         seed=args.seed or 0,
     )
     # both outputs open before the first graph is solved, so a path that cannot
-    # be written, or one path for two outputs (the later would overwrite the
-    # earlier), fails at once; a hunt that stops on an error removes them
-    # again (regular files only)
+    # be written, or one path for two outputs or for an output and a corpus
+    # (the later would overwrite the earlier), fails at once; a hunt that
+    # stops on an error removes them again (regular files only)
     outputs = (args.report, args.summary, args.quarantine)
     if len({os.path.realpath(path) for path in outputs}) < len(outputs):
         raise ValueError("two of --report, --summary and --quarantine name the same file")
+    corpora = {os.path.realpath(path) for path in args.corpus}
+    for flag, path in zip(("--report", "--summary", "--quarantine"), outputs):
+        if os.path.realpath(path) in corpora:
+            raise ValueError(f"{flag} {path} names a corpus file")
     files, done = [], False
     try:
         files.append(open(args.report, "w", encoding="ascii"))

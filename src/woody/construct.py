@@ -51,7 +51,7 @@ def depth_parity_shading(d: ForestDecomposition) -> EdgeColoring:
     """
     g = d.parent
     colors: list[int | None] = [None] * g.m
-    for fi, eids in enumerate(d.classes()):
+    for fi, eids in EdgeColoring(g, d.assignment).classes().items():
         nbrs = subset_adjacency(g, eids)
         depth: dict[int, int] = {}
         for root in sorted(nbrs):
@@ -138,17 +138,21 @@ def _square_coloring(g: Graph) -> tuple[int, EdgeColoring]:
     """arboricity_square_coloring together with the arboricity it found."""
     col = coloring_number(g)  # the arboricity seed and the greedy's order
     ell, decomp = arboricity(g, col)
-    shaded = depth_parity_shading(decomp)
-    if not has_triangle(g):
-        result = shaded
-    else:
-        f = degeneracy_greedy_vertex_coloring(g, col)
-        chi = f.palette_size
-        derived = derived_coloring(g, f, chi)
-        result = product_coloring(g, derived, shaded)
-        if result.palette_size > 2 * chi * ell:
-            raise AssertionError("product exceeded its palette bound")
-    return ell, verified(result, is_strongly_woody)
+    if has_triangle(g):
+        return ell, shaded_product(g, degeneracy_greedy_vertex_coloring(g, col), decomp)
+    return ell, verified(depth_parity_shading(decomp), is_strongly_woody)
+
+
+def shaded_product(g: Graph, f: VertexColoring, decomp: ForestDecomposition
+                   ) -> EdgeColoring:
+    """The coloring derived from the proper vertex coloring f (triangles
+    rainbow) crossed with decomp's depth-parity shading (no path of three
+    edges in a shade): verified strongly woody, <= 2*|f|*arb colors."""
+    k = f.palette_size
+    result = product_coloring(g, derived_coloring(g, f, k), depth_parity_shading(decomp))
+    if result.palette_size > 2 * k * decomp.num_forests:
+        raise AssertionError("product exceeded its palette bound")
+    return verified(result, is_strongly_woody)
 
 
 def partition_coloring(g: Graph, a, f) -> EdgeColoring:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import Iterable
 
-from .graphs import Graph, UnionFind, coloring_number, tree_walk
+from .graphs import Graph, UnionFind, coloring_number, subset_adjacency, tree_walk
 from .verify import DensityCertificate, EdgeColoring, is_woody
 
 
@@ -32,12 +33,6 @@ class ForestDecomposition:
     assignment: tuple[int, ...]
     num_forests: int
     dense: frozenset | None = None
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_forests)]
-        for e, f in enumerate(self.assignment):
-            out[f].append(e)
-        return out
 
     def is_valid(self) -> bool:
         """Every class is below num_forests and is a forest (verify.is_woody)."""
@@ -66,14 +61,19 @@ class _Forest:
 
     __slots__ = ("edges", "adj", "label", "parent", "depth", "size", "next_label")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, eids: Iterable[int] = (), order: Iterable[int] = ()):
+        """The acyclic edges eids, each tree rooted at its earliest vertex in order."""
         self.edges = g.edges
-        self.adj: dict[int, list[tuple[int, int]]] = {}
+        self.adj = subset_adjacency(g, eids)
         self.label = list(range(g.n))
         self.parent = [-1] * g.n
         self.depth = [0] * g.n
-        self.size: dict[int, int] = {}  # vertices per label, for trees with edges
         self.next_label = g.n
+        for v in order:
+            if v in self.adj and self.label[v] == v:
+                self._hang(v, -1, v, 0)
+        # vertices per label, for trees with edges
+        self.size = {lab: c for lab, c in Counter(self.label).items() if c > 1}
 
     def _hang(self, s: int, pe: int, lab: int, d: int) -> None:
         """Root s's tree at s, below parent edge pe at depth d, labelled lab."""
@@ -155,11 +155,15 @@ class _Partitioner:
     every forest stays a forest after each single move.
     """
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph, classes: list[list[int]], order: Iterable[int] = ()):
+        """One forest per acyclic edge class, rooted by order; other edges uncovered."""
         self.g = g
-        self.k = k
+        self.k = len(classes)
         self.owner: list[int | None] = [None] * g.m
-        self.forests = [_Forest(g) for _ in range(k)]
+        self.forests = [_Forest(g, eids, order) for eids in classes]
+        for fi, eids in enumerate(classes):
+            for e in eids:
+                self.owner[e] = fi
 
     def add_forest(self) -> None:
         self.forests.append(_Forest(self.g))
@@ -187,8 +191,11 @@ class _Partitioner:
             xu, xv = edges[x]
             own = owner[x]
             for fi, forest in enumerate(forests):
-                if fi != own and forest.label[xu] != forest.label[xv]:
-                    # augment: x enters fi, its predecessor takes x's old slot
+                if fi == own:
+                    continue
+                if forest.label[xu] != forest.label[xv]:
+                    # augment along pred entries set before x was dequeued:
+                    # x enters fi, its predecessor takes x's old slot
                     target = fi
                     while True:
                         old = owner[x]
@@ -199,15 +206,12 @@ class _Partitioner:
                         if p is None:
                             return True
                         x, target = p, old
-            # x closes a cycle in every other forest: queue each cycle's
-            # edges from xv back to xu (the order decides which
-            # decomposition comes out)
-            for fi, forest in enumerate(forests):
-                if fi != own:
-                    for y in forest.path(xv, xu):
-                        if y not in pred:
-                            pred[y] = x
-                            queue.append(y)
+                # x closes a cycle in fi: queue its edges from xv back to xu
+                # (the order decides which decomposition comes out)
+                for y in forest.path(xv, xu):
+                    if y not in pred:
+                        pred[y] = x
+                        queue.append(y)
         self.reached = pred
         return False
 
@@ -249,18 +253,11 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
     if r - 1 <= k:
         decomp = ForestDecomposition(g, tuple(slot), k)
     else:
-        part = _Partitioner(g, k)
+        classes: list[list[int]] = [[] for _ in range(k)]
         for e, s in enumerate(slot):
             if s < k:
-                u, v = edges[e]
-                part.forests[s].adj.setdefault(u, []).append((v, e))
-                part.forests[s].adj.setdefault(v, []).append((u, e))
-                part.owner[e] = s
-        for forest in part.forests:
-            for v in order:  # each tree is rooted at its earliest vertex
-                if v in forest.adj and forest.label[v] == v:
-                    forest._hang(v, -1, v, 0)
-            forest.size = {lab: c for lab, c in Counter(forest.label).items() if c > 1}
+                classes[s].append(e)
+        part = _Partitioner(g, classes, order)
         failed = None
         for e, s in enumerate(slot):
             if s >= k:

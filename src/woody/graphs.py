@@ -373,27 +373,18 @@ def coloring_number(g: Graph) -> tuple[int, list[int]]:
 
 
 def is_2_independent(g: Graph, a: Iterable[int]) -> bool:
-    """True iff all distinct members of a are at pairwise distance >= 3.
-
-    Equivalent check: no edge inside a and no vertex of G has two
-    neighbors in a.
-    """
+    """True iff all distinct members of a are at pairwise distance >= 3,
+    that is, iff their closed neighbourhoods are pairwise disjoint."""
     members = set(a)
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in graph")
-    if len(members) <= 1:
-        return True
-    for u, v in g.edges:
-        if u in members and v in members:
+    seen: set[int] = set()
+    for v in members:
+        if v in seen or not seen.isdisjoint(g.adj[v]):
             return False
-    for w in range(g.n):
-        hits = 0
-        for x in g.adj[w]:
-            if x in members:
-                hits += 1
-                if hits >= 2:
-                    return False
+        seen.add(v)
+        seen.update(g.adj[v])
     return True
 
 

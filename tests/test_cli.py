@@ -508,7 +508,7 @@ class TestUnreadableFiles:
             assert not report.exists() and not summary.exists(), args
         # one file for both would hold the summary over the report's tail
         assert main(["hunt", gp, "--report", str(report), "--summary",
-                     str(tmp_path / "." / "r.jsonl")]) == 2
+                     os.path.join(str(out), "..", "r.jsonl")]) == 2
         assert "name the same file" in capsys.readouterr().err
         assert not report.exists()
         # a quarantine on either output would overwrite it with the violations
@@ -519,6 +519,21 @@ class TestUnreadableFiles:
             assert "name the same file" in capsys.readouterr().err
             assert target.read_text() == "kept\n"
             target.unlink()
+        # no output may name a corpus file, however the path is spelled:
+        # the corpus keeps its bytes
+        corpus = tmp_path / "two.g6"
+        corpus.write_text(encode_graph6(cycle_graph(4)) + "\n"
+                          + encode_graph6(path_graph(3)) + "\n")
+        before = corpus.read_bytes()
+        for flag in ("--report", "--summary", "--quarantine"):
+            outputs = {"--report": str(report), "--summary": str(summary),
+                       "--quarantine": str(tmp_path / "q.jsonl"),
+                       flag: os.path.join(str(out), "..", "two.g6")}
+            argv = ["hunt", gp, str(corpus)] + [x for pair in outputs.items() for x in pair]
+            assert main(argv) == 2, flag
+            assert f"{flag} {outputs[flag]} names a corpus file" in capsys.readouterr().err
+            assert corpus.read_bytes() == before, flag
+            assert not report.exists() and not summary.exists(), flag
         # exact writes its certificate before it prints a result
         assert main(["exact", gp, "--param", "strong-arb", "-o", str(out)]) == 2
         captured = capsys.readouterr()

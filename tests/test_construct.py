@@ -11,6 +11,7 @@ from woody.construct import (
     derived_coloring,
     partition_coloring,
     product_coloring,
+    shaded_product,
     triangle_free_planar_coloring,
 )
 from woody.decompose import ForestDecomposition, arboricity
@@ -195,6 +196,38 @@ class TestProductColoring:
         p = product_coloring(g, a, b)
         assert is_strongly_woody(p)[0]
         assert p.palette_size <= 2 * chi.value * ell
+
+
+class TestShadedProduct:
+    def test_is_the_derived_coloring_times_the_shading(self, connected_n6):
+        # the one product construction behind color --method product and
+        # the square pipeline's graphs with a triangle
+        for g in connected_n6[::5]:
+            chi = chromatic_exact(g)
+            ell, decomp = arboricity(g)
+            c = shaded_product(g, chi.certificate, decomp)
+            derived = derived_coloring(g, chi.certificate, chi.value)
+            assert c.colors == product_coloring(g, derived, depth_parity_shading(decomp)).colors
+            assert is_strongly_woody(c)[0] and c.palette_size <= 2 * chi.value * ell
+
+    def test_square_takes_it_on_graphs_with_a_triangle(self, connected_n6):
+        for g in connected_n6[::5]:
+            if has_triangle(g):
+                f = degeneracy_greedy_vertex_coloring(g)
+                want = shaded_product(g, f, arboricity(g)[1]).colors
+                assert arboricity_square_coloring(g).colors == want
+
+    @pytest.mark.parametrize("colors, match", [
+        (0, "monochromatic_cycle"),
+        (100, "palette bound"),
+    ])
+    def test_refuses_a_bad_product(self, monkeypatch, colors, match):
+        # the palette check and the verification gate both see the product
+        g = complete_graph(5)
+        monkeypatch.setattr(woody.construct, "product_coloring",
+                            lambda g, a, b: EdgeColoring(g, [colors] * g.m))
+        with pytest.raises(AssertionError, match=match):
+            shaded_product(g, chromatic_exact(g).certificate, arboricity(g)[1])
 
 
 class TestDegeneracyGreedy:

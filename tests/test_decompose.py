@@ -36,14 +36,18 @@ from conftest import (
 class BfsPartitioner:
     """The exchange search as it was before forests kept rooted state: a
     breadth-first search over a whole forest for every edge and forest
-    tried. `moves` counts edges displaced from a forest."""
+    tried. `moves` counts edges displaced from a forest. It is seeded as
+    _Partitioner is, with one edge class per forest."""
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph, classes):
         self.g = g
-        self.k = k
+        self.k = len(classes)
         self.owner = [None] * g.m
-        self.forests = [dict() for _ in range(k)]
+        self.forests = [dict() for _ in classes]
         self.moves = 0
+        for fi, eids in enumerate(classes):
+            for e in eids:
+                self._insert(fi, e)
 
     def add_forest(self):
         self.forests.append(dict())
@@ -110,7 +114,7 @@ class BfsPartitioner:
 def exchange_partition(g: Graph, cls=_Partitioner):
     """The exchange search alone: cls from empty forests at the density
     bound, fed every edge in index order."""
-    part = cls(g, max(1, -((-g.m) // (g.n - 1))))
+    part = cls(g, [[] for _ in range(max(1, -((-g.m) // (g.n - 1))))])
     for e in range(g.m):
         while not part.place(e):
             part.add_forest()
@@ -205,7 +209,7 @@ class TestArboricity:
         k5_with_pendant_path(),
     ])
     def test_forest_state_after_every_placement(self, g):
-        part = _Partitioner(g, 2)
+        part = _Partitioner(g, [[], []])
         moved = 0
         for e in range(g.m):
             before = list(part.owner)
@@ -219,7 +223,7 @@ class TestArboricity:
     def test_forest_state_under_random_links_and_cuts(self):
         rng = random.Random(7)
         g = relabeled(grid_graph(6, 6, triangulated=True), rng)
-        part = _Partitioner(g, 1)
+        part = _Partitioner(g, [[]])
         label = part.forests[0].label
         for _ in range(400):
             e = rng.randrange(g.m)
@@ -231,9 +235,54 @@ class TestArboricity:
                 part._insert(0, e)
             check_forest_state(part)
 
+    def test_seeded_forests_build_and_root_themselves(self):
+        # each seed class becomes a rooted forest, every tree hung from its
+        # earliest vertex in the given order and labelled by it
+        rng = random.Random(26)
+        graphs = [relabeled(grid_graph(8, 8, triangulated=True), rng),
+                  k5_with_pendant_path(), complete_graph(7)]
+        graphs += rng.sample([g for g in small_corpus() if g.m], 40)
+        for g in graphs:
+            _, d = arboricity(g)
+            order = rng.sample(range(g.n), g.n)
+            pos = {v: i for i, v in enumerate(order)}
+            classes = [[e for e, f in enumerate(d.assignment) if f == fi]
+                       for fi in range(d.num_forests)]
+            part = _Partitioner(g, classes, order)
+            assert part.k == d.num_forests and tuple(part.owner) == d.assignment
+            check_forest_state(part)
+            for forest in part.forests:
+                for lab in forest.size:
+                    tree = [v for v in range(g.n) if forest.label[v] == lab]
+                    root = min(tree, key=pos.get)
+                    assert lab == root and forest.parent[root] == -1
+
+    def test_seeded_search_matches_the_seeded_bfs_search(self):
+        # both partitioners take the same seed classes; the rest of the
+        # edges, placed in index order, end in the same forests
+        rng = random.Random(5)
+        moves = grown = 0
+        for g in rng.sample([g for g in small_corpus() if g.m], 150) + [k5_with_pendant_path()]:
+            k = max(1, -((-g.m) // (g.n - 1)))
+            _, d = arboricity(g)
+            classes = [[e for e, f in enumerate(d.assignment) if f == fi and e % 2 == 0]
+                       for fi in range(k)]
+            seeded = {e for eids in classes for e in eids}
+            part = _Partitioner(g, classes, range(g.n))
+            ref = BfsPartitioner(g, classes)
+            for e in range(g.m):
+                if e not in seeded:
+                    for p in (part, ref):
+                        while not p.place(e):
+                            p.add_forest()
+            assert tuple(part.owner) == tuple(ref.owner)
+            check_forest_state(part)
+            moves, grown = moves + ref.moves, grown + ref.k - k
+        assert moves > 0 and grown > 0  # exchange chains ran and searches failed
+
     def test_insert_refuses_a_cycle(self):
         g = cycle_graph(3)
-        part = _Partitioner(g, 1)
+        part = _Partitioner(g, [[]])
         part._insert(0, 0)
         part._insert(0, 1)
         with pytest.raises(AssertionError):
@@ -252,7 +301,7 @@ class TestArboricity:
         # of them from each forest, and that edge
         failures = 0
         for g in small_corpus():
-            part = _Partitioner(g, 1)
+            part = _Partitioner(g, [[]])
             for e in range(g.m):
                 while not part.place(e):
                     failures += 1
@@ -275,9 +324,9 @@ class TestArboricity:
         calls = []
         real_init, real_place = _Partitioner.__init__, _Partitioner.place
 
-        def counting_init(self, g, k):
+        def counting_init(self, *args):
             calls.append("init")
-            real_init(self, g, k)
+            real_init(self, *args)
 
         def counting_place(self, e):
             calls.append(e)

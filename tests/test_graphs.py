@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -250,6 +251,34 @@ class TestVertexSets:
                             if u < v:
                                 assert not g.has_edge(u, v)
                                 assert not (g.neighbor_set(u) & g.neighbor_set(v))
+
+    def test_2_independent_matches_breadth_first_distances(self, connected_n6):
+        # both directions: a set is accepted iff breadth-first search finds
+        # its members at pairwise distance >= 3
+        def far_apart(g, a):
+            for u in a:
+                dist = {u: 0}
+                queue = deque([u])
+                while queue:
+                    w = queue.popleft()
+                    for x in g.adj[w]:
+                        if x not in dist and dist[w] < 2:
+                            dist[x] = dist[w] + 1
+                            queue.append(x)
+                if any(v != u and v in dist for v in a):
+                    return False
+            return True
+
+        rng = random.Random(26)
+        graphs = connected_n6 + [f(n) for n in range(3, 16) for f in (path_graph, cycle_graph)]
+        verdicts = Counter()
+        for g in graphs:
+            for _ in range(8):
+                a = set(rng.sample(range(g.n), rng.randint(0, min(g.n, 4))))
+                want = far_apart(g, a)
+                assert is_2_independent(g, a) == want, (g.edges, a)
+                verdicts[want] += 1
+        assert verdicts[True] > 300 and verdicts[False] > 300
 
     def test_induces_forest(self):
         c5 = cycle_graph(5)
