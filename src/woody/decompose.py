@@ -15,7 +15,7 @@ carries a vertex set whose density anyone can recount
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,7 +56,8 @@ class _Forest:
     a depth, so connectivity is one label comparison and the path between
     two vertices is a climb to their meeting point. A link or a cut rewrites
     only the smaller of the two trees involved: a link knows the sizes
-    (kept per label), a cut searches both sides in turn until one runs out.
+    (kept per label, as each re-rooting counts what it hangs), a cut walks
+    both sides in turn until one runs out.
     """
 
     __slots__ = ("edges", "adj", "label", "parent", "depth", "size", "next_label")
@@ -69,18 +70,20 @@ class _Forest:
         self.parent = [-1] * g.n
         self.depth = [0] * g.n
         self.next_label = g.n
+        self.size = {}  # vertices per label, for trees with edges
         for v in order:
             if v in self.adj and self.label[v] == v:
-                self._hang(v, -1, v, 0)
-        # vertices per label, for trees with edges
-        self.size = {lab: c for lab, c in Counter(self.label).items() if c > 1}
+                self.size[v] = self._hang(v, -1, v, 0)
 
-    def _hang(self, s: int, pe: int, lab: int, d: int) -> None:
-        """Root s's tree at s, below parent edge pe at depth d, labelled lab."""
+    def _hang(self, s: int, pe: int, lab: int, d: int) -> int:
+        """Root s's tree at s, below parent edge pe at depth d, labelled lab;
+        returns the tree's number of vertices."""
         label, parent, depth = self.label, self.parent, self.depth
         label[s], parent[s], depth[s] = lab, pe, d
-        for x, e, w in tree_walk(self.adj, s):
+        count = 1
+        for count, (x, e, w) in enumerate(tree_walk(self.adj, s), 2):
             label[x], parent[x], depth[x] = lab, e, depth[w] + 1
+        return count
 
     def link(self, e: int) -> None:
         """Add edge e, hanging the smaller tree under the larger one."""
@@ -103,26 +106,22 @@ class _Forest:
         adj, size = self.adj, self.size
         adj[u].remove((v, e))
         adj[v].remove((u, e))
-        walks = (tree_walk(adj, u), tree_walk(adj, v))
-        small = 1
-        while True:
-            if next(walks[0], None) is None:
-                s, t = u, v
+        walk_u, walk_v = tree_walk(adj, u), tree_walk(adj, v)
+        while next(walk_u, None) is not None:
+            if next(walk_v, None) is None:
+                u, v = v, u
                 break
-            if next(walks[1], None) is None:
-                s, t = v, u
-                break
-            small += 1
-        big = size.pop(self.label[t]) - small
+        # now u's side is the smaller one; a tie keeps u
         lab = self.next_label
         self.next_label += 1
-        self._hang(s, -1, lab, 0)
-        if self.parent[t] == e:
-            self.parent[t] = -1
+        small = self._hang(u, -1, lab, 0)
+        big = size.pop(self.label[v]) - small
+        if self.parent[v] == e:
+            self.parent[v] = -1
         if small > 1:
             size[lab] = small
         if big > 1:
-            size[self.label[t]] = big
+            size[self.label[v]] = big
 
     def path(self, a: int, b: int) -> list[int]:
         """Edge ids of the tree path from a to b, in order from a."""
@@ -158,7 +157,6 @@ class _Partitioner:
     def __init__(self, g: Graph, classes: list[list[int]], order: Iterable[int] = ()):
         """One forest per acyclic edge class, rooted by order; other edges uncovered."""
         self.g = g
-        self.k = len(classes)
         self.owner: list[int | None] = [None] * g.m
         self.forests = [_Forest(g, eids, order) for eids in classes]
         for fi, eids in enumerate(classes):
@@ -167,7 +165,6 @@ class _Partitioner:
 
     def add_forest(self) -> None:
         self.forests.append(_Forest(self.g))
-        self.k += 1
 
     def _insert(self, fi: int, e: int) -> None:
         self.forests[fi].link(e)
@@ -190,28 +187,30 @@ class _Partitioner:
             x = queue.popleft()
             xu, xv = edges[x]
             own = owner[x]
-            for fi, forest in enumerate(forests):
-                if fi == own:
-                    continue
-                if forest.label[xu] != forest.label[xv]:
-                    # augment along pred entries set before x was dequeued:
-                    # x enters fi, its predecessor takes x's old slot
-                    target = fi
-                    while True:
-                        old = owner[x]
-                        if old is not None:
-                            forests[old].cut(x)
-                        self._insert(target, x)
-                        p = pred[x]
-                        if p is None:
-                            return True
-                        x, target = p, old
-                # x closes a cycle in fi: queue its edges from xv back to xu
-                # (the order decides which decomposition comes out)
-                for y in forest.path(xv, xu):
-                    if y not in pred:
-                        pred[y] = x
-                        queue.append(y)
+            for target, forest in enumerate(forests):
+                if target != own and forest.label[xu] != forest.label[xv]:
+                    break
+            else:
+                # x closes a cycle in every other forest: queue each cycle's
+                # edges from xv back to xu (the order decides which
+                # decomposition comes out)
+                for fi, forest in enumerate(forests):
+                    if fi != own:
+                        for y in forest.path(xv, xu):
+                            if y not in pred:
+                                pred[y] = x
+                                queue.append(y)
+                continue
+            # augment: x enters target, its predecessor takes x's old slot
+            while True:
+                old = owner[x]
+                if old is not None:
+                    forests[old].cut(x)
+                self._insert(target, x)
+                p = pred[x]
+                if p is None:
+                    return True
+                x, target = p, old
         self.reached = pred
         return False
 
@@ -271,7 +270,7 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
                 uf.union(*edges[x])
             root = uf.find(edges[failed][0])
             dense = frozenset(v for v in range(n) if uf.find(v) == root)
-        decomp = ForestDecomposition(g, tuple(part.owner), part.k, dense)
+        decomp = ForestDecomposition(g, tuple(part.owner), len(part.forests), dense)
     if not decomp.is_valid():
         raise AssertionError("forest partition produced an invalid decomposition")
     return decomp.num_forests, decomp

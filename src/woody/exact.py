@@ -113,7 +113,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
     k colors, or None when k colors do not suffice. The first coloring
     found is normalized and passed through verify.verified with check.
     If the budget runs out at level k, k is the proven lower bound and
-    exhausted() gives a coloring, passed through verified with check too,
+    exhausted() gives a coloring that has passed its own verified gate,
     whose palette is the upper bound to report.
     """
     t0 = time.monotonic()
@@ -125,7 +125,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
         try:
             found = search(k, ticker)
         except _BudgetExhausted:
-            certificate = verified(exhausted(), check)
+            certificate = exhausted()
             return SolveResult(None, k, certificate.palette_size, False, certificate,
                                ticker.nodes, time.monotonic() - t0)
         if found is not None:
@@ -355,7 +355,8 @@ def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
     Iterative deepening from strong_arboricity_lower_bound(g, arb), the
     larger of arboricity and χ′(K_ω), as every color class is a matching
     inside a clique; arb and omega are passed on to it. On budget
-    exhaustion the square pipeline's coloring is the reported upper bound.
+    exhaustion the square pipeline's coloring, which that pipeline
+    verifies, is the reported upper bound.
     """
     order = _edge_order(g)
     return _deepen(
@@ -447,7 +448,8 @@ def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None,
     return _deepen(
         g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g, omega),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
-        is_acyclic_vertex, lambda: VertexColoring(g, range(g.n)))
+        is_acyclic_vertex,
+        lambda: verified(VertexColoring(g, range(g.n)), is_acyclic_vertex))
 
 
 def chromatic_exact(g: Graph, budget: Budget | None = None,
@@ -459,7 +461,8 @@ def chromatic_exact(g: Graph, budget: Budget | None = None,
         g, budget, VertexColoring,
         lambda: max_clique_size(g) if omega is None else omega,
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
-        check_proper_vertex, lambda: VertexColoring(g, range(g.n)))
+        check_proper_vertex,
+        lambda: verified(VertexColoring(g, range(g.n)), check_proper_vertex))
 
 
 def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
@@ -472,11 +475,15 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
     order = _edge_order(g)
     line = [[g.edge_id(x, w) for x in uv for w in g.adj[x] if w not in uv]
             for uv in g.edges]
+
+    def check(c):
+        return is_proper_edge(c), None
+
     return _deepen(
         g, budget, EdgeColoring,
         lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
         lambda k, ticker: _search_proper(line, k, order, ticker),
-        lambda c: (is_proper_edge(c), None), lambda: EdgeColoring(g, range(g.m)))
+        check, lambda: verified(EdgeColoring(g, range(g.m)), check))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,13 @@ class Graph:
     edges[i] is the pair (u, v) with u < v whose edge index is i; the tuple
     never changes after construction. Adjacency lists are sorted and agree
     with the edge list.
+
+    bench/gen.py builds every stretch and scale input as a Graph and hands
+    it to the frozen reference copy in bench/ref/woody_ref, which reads n,
+    m, edges, adj, degree, neighbor_set, edge_id and has_edge. Removing one
+    of them breaks the benchmark, and changing its cost moves the
+    reference's side of speed_vs_ref; so these members, and what they
+    cost, stay as they are.
     """
 
     __slots__ = ("n", "edges", "adj", "_edge_ids", "_nbr_sets")

@@ -361,7 +361,8 @@ def read_text(path: str, encoding: str = "ascii") -> str:
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
-        lines = data[:exc.start].split(b"\n")
+        # lines end at \n, \r or \r\n, as the parsers read them
+        lines = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
         raise GraphFormatError(f"{path}:{len(lines)}: byte 0x{data[exc.start]:02x} "
                                f"is not {encoding}", len(lines[-1])) from None
 

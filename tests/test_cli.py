@@ -458,6 +458,27 @@ class TestUnreadableFiles:
         assert capsys.readouterr().err == (
             f"error: {conf}:2: byte 0xff is not utf-8 (byte offset 5)\n")
 
+    def test_graph_lines_ending_in_carriage_returns(self, tmp_path, capsys):
+        # the byte is counted on the line a text-mode reader puts it on:
+        # the third here, as the hunt's own line count says
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(b"\r\rD\xffc\r")
+        assert main(["exact", str(bad), "--param", "strong-arb"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: byte 0xff is not ascii (byte offset 1)\n")
+        assert main(["hunt", str(bad), "--strict", "--report", str(tmp_path / "r.jsonl"),
+                     "--summary", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: " in err and "(byte offset 1)" in err
+
+    def test_config_lines_ending_in_carriage_returns(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, cycle_graph(4))
+        conf = tmp_path / "c.conf"
+        conf.write_bytes(b"budget_nodes=5\rseed=1\r\xff=3\r")
+        assert main(["exact", gp, "--param", "strong-arb", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {conf}:3: byte 0xff is not utf-8 (byte offset 0)\n")
+
     def test_a_directory_as_input_or_output(self, tmp_path, capsys):
         # no traceback and no exit 1, which means an invalid coloring
         gp = write_graph(tmp_path, cycle_graph(4))

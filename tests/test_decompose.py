@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from woody.decompose import (
     ForestDecomposition,
+    _Forest,
     _Partitioner,
     arboricity,
 )
@@ -24,6 +25,7 @@ from woody.graphs import (
 from woody.verify import DensityCertificate
 
 from conftest import (
+    complete_bipartite,
     connected_upto,
     corpus_graphs,
     fractional_arboricity_bruteforce,
@@ -249,7 +251,7 @@ class TestArboricity:
             classes = [[e for e, f in enumerate(d.assignment) if f == fi]
                        for fi in range(d.num_forests)]
             part = _Partitioner(g, classes, order)
-            assert part.k == d.num_forests and tuple(part.owner) == d.assignment
+            assert len(part.forests) == d.num_forests and tuple(part.owner) == d.assignment
             check_forest_state(part)
             for forest in part.forests:
                 for lab in forest.size:
@@ -312,7 +314,7 @@ class TestArboricity:
                     size = sum(uf.find(v) == root for v in range(g.n))
                     inside = [x for x in part.reached if uf.find(g.edges[x][0]) == root]
                     assert [part.owner[x] for x in inside].count(None) == 1
-                    for fi in range(part.k):
+                    for fi in range(len(part.forests)):
                         assert [part.owner[x] for x in inside].count(fi) == size - 1
                     part.add_forest()
         assert failures > 1000
@@ -352,7 +354,7 @@ class TestArboricity:
 
         def checking_place(self, e):
             if not calls:
-                assert self.k == bound
+                assert len(self.forests) == bound
                 check_forest_state(self)
             calls.append(e)
             return real_place(self, e)
@@ -362,6 +364,25 @@ class TestArboricity:
         k, d = arboricity(g)
         assert k == arb == d.num_forests and d.is_valid()
         assert calls == sorted(calls) and calls
+
+    @pytest.mark.parametrize("g, paths", [
+        (complete_graph(8), 48),
+        (complete_bipartite(10, 10), 336),
+    ], ids=["K8", "K10,10"])
+    def test_cycles_are_built_only_for_an_edge_no_forest_takes(self, monkeypatch, g, paths):
+        # place looks for a forest that keeps x's ends apart before it
+        # climbs any cycle; building the cycles of the forests tried before
+        # the one that takes x reads 56 on K8 and 364 on K10,10
+        calls = []
+        real_path = _Forest.path
+
+        def counting_path(self, a, b):
+            calls.append((a, b))
+            return real_path(self, a, b)
+
+        monkeypatch.setattr(_Forest, "path", counting_path)
+        assert arboricity(g)[1].is_valid()
+        assert len(calls) == paths
 
     def test_relabeled_grid_150_scales(self):
         g = relabeled(grid_graph(150, 150), random.Random(150))

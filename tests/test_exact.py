@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import woody.construct
 import woody.exact
 from woody.construct import partition_coloring
 from woody.decompose import arboricity
@@ -188,6 +189,20 @@ class TestStrongArboricity:
             (None, 6, 6, False, tuple(range(6))), (None, 5, 15, False, tuple(range(15)))]
         assert type(strong_arboricity_exact(Graph(0, [])).certificate) is EdgeColoring
         assert type(chromatic_exact(Graph(0, [])).certificate) is VertexColoring
+
+    def test_exhausted_upper_bound_is_verified_once(self, monkeypatch):
+        # the square pipeline gates its own coloring, so the solver reports
+        # it without a second check
+        calls = []
+
+        def counted(coloring):
+            calls.append(coloring.colors)
+            return is_strongly_woody(coloring)
+
+        for module in (woody.exact, woody.construct):
+            monkeypatch.setattr(module, "is_strongly_woody", counted)
+        res = strong_arboricity_exact(complete_graph(6), Budget(max_nodes=3))
+        assert not res.exact and calls == [res.certificate.colors]
 
     def test_sandwich_against_acyclic_chromatic(self, connected_n6):
         for g in connected_n6[::6]:
