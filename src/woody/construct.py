@@ -15,8 +15,6 @@ from .graphs import (
     has_triangle,
     induces_forest,
     is_2_independent,
-    subset_adjacency,
-    tree_walk,
 )
 from .verify import EdgeColoring, VertexColoring, is_strongly_woody, verified
 
@@ -40,29 +38,68 @@ def derived_coloring(g: Graph, f: VertexColoring, k: int) -> EdgeColoring:
 def depth_parity_shading(d: ForestDecomposition) -> EdgeColoring:
     """Split every forest class into two shades by depth parity.
 
-    Each tree is rooted at its lowest-index vertex and walked with
-    graphs.tree_walk; a vertex's depth is the length of its one tree path
-    to the root, whatever order the walk takes. An edge whose child
-    endpoint sits at depth j gets shade (j-1) mod 2, so forest i emits
-    colors 2i and 2i+1. No shade contains a path of three edges: on any
-    tree path the two edges of a descending chain alternate shades, so a
-    monochromatic path has at most one edge on each side of its apex. A
-    class with a cycle raises ValueError.
+    Each tree is rooted at its lowest-index vertex. An edge whose parent
+    endpoint sits at depth j gets shade j mod 2, so forest i emits colors
+    2i and 2i+1. No shade contains a path of three edges: on any tree path
+    the two edges of a descending chain alternate shades, so a
+    monochromatic path has at most one edge on each side of its apex.
+
+    The depths come from d.rooting, climbing parent edges once per vertex
+    in index order: the first climb in a tree starts at its lowest vertex
+    and runs to the tree's root in the rooting, so the edges on it take
+    their upper end as child; every later climb stops at a vertex whose
+    depth parity is known. A decomposition without a rooting, a parent
+    edge outside its forest or not at its vertex, a forest edge that is not
+    the parent edge of exactly one of its ends, or a climb that revisits a
+    vertex raises ValueError.
     """
     g = d.parent
+    n, edges, assignment = g.n, g.edges, d.assignment
+    rooting = d.rooting
+    if rooting is None or len(rooting) != d.num_forests or any(len(up) != n for up in rooting):
+        raise ValueError("decomposition carries no rooting of its forests and vertices")
     colors: list[int | None] = [None] * g.m
-    for fi, eids in EdgeColoring(g, d.assignment).classes().items():
-        nbrs = subset_adjacency(g, eids)
-        depth: dict[int, int] = {}
-        for root in sorted(nbrs):
-            if root in depth:
+    for fi, up in enumerate(rooting):
+        parity = [-1] * n  # depth mod 2 below the lowest vertex; 2 on the current climb
+        base = 2 * fi
+        for v in range(n):
+            if parity[v] >= 0:
                 continue
-            depth[root] = 0
-            for x, e, w in tree_walk(nbrs, root):
-                if x in depth:
-                    raise ValueError(f"forest class {fi} has a cycle")
-                depth[x] = depth[w] + 1
-                colors[e] = 2 * fi + depth[w] % 2
+            climb = []
+            x = v
+            while parity[x] < 0:
+                e = up[x]
+                if e < 0:
+                    break
+                a, b = edges[e]
+                y = b if a == x else a if b == x else -1
+                if assignment[e] != fi or y < 0:
+                    raise ValueError(f"forest {fi}: parent edge {e} of vertex {x} "
+                                     "is not a forest edge at it")
+                if up[y] == e:
+                    raise ValueError(f"forest {fi}: edge {e} is the parent edge of both ends")
+                parity[x] = 2
+                climb.append(x)
+                x = y
+            else:
+                if parity[x] == 2:
+                    raise ValueError(f"forest {fi}: the climb from vertex {v} "
+                                     f"revisits vertex {x}")
+                p = parity[x]
+                for y in reversed(climb):
+                    colors[up[y]] = base + p
+                    p ^= 1
+                    parity[y] = p
+                continue
+            # x is a root and v the lowest vertex of its tree
+            p = 0
+            for y in climb:
+                parity[y] = p
+                colors[up[y]] = base + p
+                p ^= 1
+            parity[x] = p
+        if n - up.count(-1) != assignment.count(fi):
+            raise ValueError(f"forest {fi}: an edge is the parent edge of neither end")
     return EdgeColoring(g, colors)
 
 

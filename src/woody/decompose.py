@@ -10,7 +10,8 @@ A failed augmentation returns its own proof that one forest more is
 needed: the edges it reached hold a component with more edges than the
 current forests can cover (Nash-Williams). Either way the decomposition
 carries a vertex set whose density anyone can recount
-(density_certificate(), checked by verify.DensityCertificate).
+(density_certificate(), checked by verify.DensityCertificate), and the
+parent edges of every forest as arboricity() rooted it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ from .verify import DensityCertificate, EdgeColoring, is_woody
 class ForestDecomposition:
     """Assignment of every edge to one of num_forests acyclic classes, with
     the vertex set of a subgraph too dense for fewer forests (None: all
-    vertices)."""
+    vertices).
+
+    rooting, when given, holds per forest each vertex's parent edge (-1 at
+    a root): every edge of the forest is the parent edge of exactly one of
+    its ends. arboricity() fills it with the rooting it built; a
+    decomposition assembled by hand may leave it None.
+    """
 
     parent: Graph
     assignment: tuple[int, ...]
     num_forests: int
     dense: frozenset | None = None
+    rooting: tuple[tuple[int, ...], ...] | None = None
 
     def is_valid(self) -> bool:
         """Every class is below num_forests and is a forest (verify.is_woody)."""
@@ -63,7 +71,8 @@ class _Forest:
     __slots__ = ("edges", "adj", "label", "parent", "depth", "size", "next_label")
 
     def __init__(self, g: Graph, eids: Iterable[int] = (), order: Iterable[int] = ()):
-        """The acyclic edges eids, each tree rooted at its earliest vertex in order."""
+        """The acyclic edges eids, each tree rooted at its earliest vertex in
+        order; a tree that order misses is rooted at its first vertex in eids."""
         self.edges = g.edges
         self.adj = subset_adjacency(g, eids)
         self.label = list(range(g.n))
@@ -74,6 +83,10 @@ class _Forest:
         for v in order:
             if v in self.adj and self.label[v] == v:
                 self.size[v] = self._hang(v, -1, v, 0)
+        if sum(self.size.values()) < len(self.adj):  # trees the order missed
+            for v in self.adj:
+                if self.label[v] == v and v not in self.size:
+                    self.size[v] = self._hang(v, -1, v, 0)
 
     def _hang(self, s: int, pe: int, lab: int, d: int) -> int:
         """Root s's tree at s, below parent edge pe at depth d, labelled lab;
@@ -234,23 +247,31 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
     the decomposition's dense set. Where nothing failed, k = k0 and the
     whole graph is the witness.
 
+    The decomposition carries its rooting: an edge in slot s of its owner w
+    is w's parent edge in forest s, each slot tree hanging from its
+    earliest vertex in the order; after the exchange search, each forest's
+    parent edges are those its rooted _Forest kept.
+
     col, when given, must be coloring_number(g); a caller that already has
     it spares a second pass.
     """
     m, n, edges = g.m, g.n, g.edges
     if m == 0:
-        return 0, ForestDecomposition(g, (), 0)
+        return 0, ForestDecomposition(g, (), 0, rooting=())
     k = max(1, -((-m) // (n - 1)))
     r, order = col or coloring_number(g)
     rank = {v: i for i, v in enumerate(order)}
     owned = [0] * n
     slot = []
-    for u, v in edges:
+    rooting = [[-1] * n for _ in range(max(k, r - 1))]
+    for e, (u, v) in enumerate(edges):
         w = u if rank[u] > rank[v] else v
-        slot.append(owned[w])
-        owned[w] += 1
+        s = owned[w]
+        slot.append(s)
+        rooting[s][w] = e
+        owned[w] = s + 1
     if r - 1 <= k:
-        decomp = ForestDecomposition(g, tuple(slot), k)
+        decomp = ForestDecomposition(g, tuple(slot), k, rooting=tuple(map(tuple, rooting)))
     else:
         classes: list[list[int]] = [[] for _ in range(k)]
         for e, s in enumerate(slot):
@@ -270,7 +291,8 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
                 uf.union(*edges[x])
             root = uf.find(edges[failed][0])
             dense = frozenset(v for v in range(n) if uf.find(v) == root)
-        decomp = ForestDecomposition(g, tuple(part.owner), len(part.forests), dense)
+        decomp = ForestDecomposition(g, tuple(part.owner), len(part.forests), dense,
+                                     tuple(tuple(f.parent) for f in part.forests))
     if not decomp.is_valid():
         raise AssertionError("forest partition produced an invalid decomposition")
     return decomp.num_forests, decomp

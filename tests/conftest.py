@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from woody.errors import GuardError
-from woody.graphs import Graph, UnionFind, parse_graph6
+from woody.graphs import Graph, UnionFind, parse_graph6, subset_adjacency, tree_walk
 from woody.verify import DensityCertificate, EdgeColoring, is_strongly_woody
 
 DATA = Path(__file__).parent / "data"
@@ -193,6 +193,36 @@ def zeta_oracle(g: Graph) -> tuple[int, int]:
     while not extend(0, 0, k):
         k += 1
     return k, nodes
+
+
+# ---------------------------------------------------------------------------
+# the shading oracle: every forest walked from its lowest vertex
+
+
+def shading_oracle(g: Graph, assignment) -> list[int]:
+    """The depth-parity shading of a forest decomposition, with nothing
+    from woody.construct.
+
+    Each tree of forest i is rooted at its lowest-index vertex and walked
+    with tree_walk; an edge whose parent end sits at depth j gets color
+    2i + j mod 2.
+    """
+    colors: list[int | None] = [None] * g.m
+    classes: dict[int, list[int]] = {}
+    for e, fi in enumerate(assignment):
+        classes.setdefault(fi, []).append(e)
+    for fi, eids in classes.items():
+        nbrs = subset_adjacency(g, eids)
+        depth: dict[int, int] = {}
+        for root in sorted(nbrs):
+            if root in depth:
+                continue
+            depth[root] = 0
+            for x, e, w in tree_walk(nbrs, root):
+                assert x not in depth, f"forest {fi} has a cycle"
+                depth[x] = depth[w] + 1
+                colors[e] = 2 * fi + depth[w] % 2
+    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from woody.verify import (
     is_strongly_woody,
 )
 
-from conftest import complete_bipartite, corpus_graphs, cube_graph, grid_graph
+from conftest import (
+    complete_bipartite,
+    corpus_graphs,
+    cube_graph,
+    grid_graph,
+    relabeled,
+    shading_oracle,
+)
 
 
 class TestDerivedColoring:
@@ -69,22 +76,54 @@ class TestDerivedColoring:
 
 class TestDepthParityShading:
     def test_star_single_shade(self):
+        # rooted at a leaf: the edge up to the centre turns over when the
+        # star is re-rooted at vertex 0
         g = star_graph(3)
-        d = ForestDecomposition(g, (0, 0, 0), 1)
+        d = ForestDecomposition(g, (0, 0, 0), 1, rooting=((2, 0, 1, -1),))
         c = depth_parity_shading(d)
         assert c.colors == (0, 0, 0)
 
     def test_path_alternates(self):
         g = path_graph(5)
-        d = ForestDecomposition(g, (0,) * 4, 1)
+        d = ForestDecomposition(g, (0,) * 4, 1, rooting=((0, 1, -1, 2, 3),))
         c = depth_parity_shading(d)
         assert c.colors == (0, 1, 0, 1)
 
     def test_class_with_a_cycle_is_refused(self):
-        # tree_walk keeps no seen-set, so a cycle is refused, not walked forever
+        # a rooting of the 4-cycle's path leaves its closing edge the parent
+        # edge of neither end
         g = cycle_graph(4)
-        with pytest.raises(ValueError, match="forest class 1 has a cycle"):
-            depth_parity_shading(ForestDecomposition(g, (1,) * 4, 2))
+        d = ForestDecomposition(g, (1,) * 4, 2, rooting=((-1,) * 4, (-1, 0, 1, 2)))
+        with pytest.raises(ValueError, match="forest 1: an edge is the parent edge of neither"):
+            depth_parity_shading(d)
+
+    @pytest.mark.parametrize("g, assignment, rooting, match", [
+        (path_graph(3), (0, 0), None, "no rooting"),
+        (path_graph(3), (0, 1), ((-1, -1, 1), (-1, -1, 1)),
+         "forest 0: parent edge 1 of vertex 2 is not a forest edge"),
+        (path_graph(3), (0, 0), ((-1, -1, 0),), "parent edge 0 of vertex 2 is not a forest edge"),
+        (path_graph(3), (0, 0), ((0, 0, 1),), "edge 0 is the parent edge of both ends"),
+        # parent edges that run round a 4-cycle: the climb never meets a root
+        (cycle_graph(4), (0,) * 4, ((0, 1, 2, 3),), "climb from vertex 0 revisits vertex 0"),
+    ], ids=["no-rooting", "other-forest", "not-at-vertex", "both-ends", "round-a-cycle"])
+    def test_a_bad_rooting_is_refused(self, g, assignment, rooting, match):
+        d = ForestDecomposition(g, assignment, 1 + max(assignment), rooting=rooting)
+        with pytest.raises(ValueError, match=match):
+            depth_parity_shading(d)
+
+    def test_matches_the_walk_oracle(self, connected_n7):
+        # every tree re-rooted at its lowest vertex, whichever root
+        # arboricity gave it and whichever path (slot seed or exchange
+        # search) built it
+        rng = random.Random(28)
+        graphs = (connected_n7 + corpus_graphs("planar_connected_n8.g6")
+                  + corpus_graphs("triangle_free_planar_upto12.g6")
+                  + [complete_graph(n) for n in range(3, 13)]
+                  + [complete_bipartite(a, b) for a in range(1, 7) for b in range(1, 7)]
+                  + [relabeled(grid_graph(30, 30, triangulated=True), rng)])
+        for g in graphs:
+            _, d = arboricity(g)
+            assert list(depth_parity_shading(d).colors) == shading_oracle(g, d.assignment)
 
     def test_no_monochromatic_three_edge_path(self, connected_n6):
         # direct path search per shade

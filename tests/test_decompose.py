@@ -17,6 +17,7 @@ from woody.errors import GuardError
 from woody.graphs import (
     Graph,
     UnionFind,
+    coloring_number,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -281,6 +282,44 @@ class TestArboricity:
             check_forest_state(part)
             moves, grown = moves + ref.moves, grown + ref.k - k
         assert moves > 0 and grown > 0  # exchange chains ran and searches failed
+
+    def test_a_seed_tree_the_order_misses_still_hangs(self):
+        # a seeded tree left unhung would keep every vertex its own root, so
+        # the closing edge of the triangle would pass the label test
+        g = cycle_graph(3)
+        for order in ((), [2], range(3)):
+            part = _Partitioner(g, [[0, 1]], order)
+            assert not part.place(2)
+            assert part.owner == [0, 0, None]
+            check_forest_state(part)
+
+    def test_every_decomposition_carries_its_rooting(self):
+        # per forest, each vertex has one parent edge (-1 at a root), which
+        # lies in that forest at that vertex; every forest edge is the parent
+        # edge of exactly one end; and a climb from any vertex reaches a
+        # root in fewer than n steps
+        graphs = (connected_upto(8) + [complete_graph(n) for n in range(3, 13)]
+                  + [complete_bipartite(a, b) for a in range(1, 7) for b in range(1, 7)])
+        paths = Counter()
+        for g in graphs:
+            k, d = arboricity(g)
+            paths["exchange" if coloring_number(g)[0] - 1 > k else "slots"] += 1
+            assert len(d.rooting) == k
+            for fi, up in enumerate(d.rooting):
+                assert len(up) == g.n
+                children = Counter()
+                for v, e in enumerate(up):
+                    if e != -1:
+                        assert d.assignment[e] == fi and v in g.edges[e]
+                        children[e] += 1
+                assert children == Counter(e for e, f in enumerate(d.assignment) if f == fi)
+                for v in range(g.n):
+                    x, steps = v, 0
+                    while up[x] != -1:
+                        a, b = g.edges[up[x]]
+                        x, steps = a + b - x, steps + 1
+                        assert steps < g.n
+        assert paths["exchange"] > 0 and paths["slots"] > 0
 
     def test_insert_refuses_a_cycle(self):
         g = cycle_graph(3)
