@@ -283,7 +283,10 @@ def cmd_hunt(args) -> int:
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("not one of 1/true/yes or 0/false/no")
+    return word in ("1", "true", "yes")
 
 
 _CONFIG_KEYS = {
@@ -307,11 +310,15 @@ def _apply_config(args) -> None:
     values = parse_config_file(args.config)
     for key, raw in values.items():
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+        try:
+            parsed = _CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {key}={raw}: {exc}") from None
         # unset flags are None or False; a flag given as 0 still wins
         value = getattr(args, key, None)
         if value is None or value is False:
-            setattr(args, key, _CONFIG_KEYS[key](raw))
+            setattr(args, key, parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:

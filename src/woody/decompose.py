@@ -3,9 +3,10 @@ matroid-partition augmentation, with a Nash-Williams witness for its
 lower bound.
 
 arboricity() builds a certifying forest decomposition: a smallest-last
-seed, then Edmonds' exchange search on forests kept rooted so that a
-connectivity test is a label comparison and a cycle is a climb along parent
-edges; a link or a cut re-roots the smaller tree in one graphs.tree_walk.
+seed whose slot loop roots each tree, then Edmonds' exchange search on
+forests that adopt those parent edges and keep them rooted: a connectivity
+test is a label comparison, a cycle is a climb along parent edges, and a
+link or a cut re-roots the smaller tree in one graphs.tree_walk.
 A failed augmentation returns its own proof that one forest more is
 needed: the edges it reached hold a component with more edges than the
 current forests can cover (Nash-Williams). Either way the decomposition
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
-from .graphs import Graph, UnionFind, coloring_number, subset_adjacency, tree_walk
+from .graphs import Graph, UnionFind, coloring_number, tree_walk
 from .verify import DensityCertificate, EdgeColoring, is_woody
 
 
@@ -70,23 +71,28 @@ class _Forest:
 
     __slots__ = ("edges", "adj", "label", "parent", "depth", "size", "next_label")
 
-    def __init__(self, g: Graph, eids: Iterable[int] = (), order: Iterable[int] = ()):
-        """The acyclic edges eids, each tree rooted at its earliest vertex in
-        order; a tree that order misses is rooted at its first vertex in eids."""
-        self.edges = g.edges
-        self.adj = subset_adjacency(g, eids)
-        self.label = list(range(g.n))
-        self.parent = [-1] * g.n
-        self.depth = [0] * g.n
+    def __init__(self, g: Graph, up: list[int] | None = None, order: Sequence[int] = ()):
+        """Adopt the parent edges up (None: none) in one pass over order, which
+        lists each vertex after its parent; an order missing a child is refused."""
+        self.edges = edges = g.edges
+        self.parent = parent = [-1] * g.n if up is None else up
+        self.label = label = list(range(g.n))
+        self.depth = depth = [0] * g.n
         self.next_label = g.n
-        self.size = {}  # vertices per label, for trees with edges
+        self.adj = adj = {}
+        self.size = size = {}  # vertices per label, for trees with edges
         for v in order:
-            if v in self.adj and self.label[v] == v:
-                self.size[v] = self._hang(v, -1, v, 0)
-        if sum(self.size.values()) < len(self.adj):  # trees the order missed
-            for v in self.adj:
-                if self.label[v] == v and v not in self.size:
-                    self.size[v] = self._hang(v, -1, v, 0)
+            e = parent[v]
+            if e != -1:
+                x, y = edges[e]
+                w = x + y - v
+                lab = label[v] = label[w]
+                depth[v] = depth[w] + 1
+                size[lab] = size.get(lab, 1) + 1
+                adj.setdefault(v, []).append((w, e))
+                adj.setdefault(w, []).append((v, e))
+        if len(adj) - len(size) != g.n - parent.count(-1):  # adj holds one root per tree
+            raise ValueError("order misses a vertex that has a parent edge")
 
     def _hang(self, s: int, pe: int, lab: int, d: int) -> int:
         """Root s's tree at s, below parent edge pe at depth d, labelled lab;
@@ -167,14 +173,15 @@ class _Partitioner:
     every forest stays a forest after each single move.
     """
 
-    def __init__(self, g: Graph, classes: list[list[int]], order: Iterable[int] = ()):
-        """One forest per acyclic edge class, rooted by order; other edges uncovered."""
+    def __init__(self, g: Graph, forests: list[_Forest]):
+        """The search over adopted forests (see _Forest); other edges uncovered."""
         self.g = g
         self.owner: list[int | None] = [None] * g.m
-        self.forests = [_Forest(g, eids, order) for eids in classes]
-        for fi, eids in enumerate(classes):
-            for e in eids:
-                self.owner[e] = fi
+        self.forests = forests
+        for fi, forest in enumerate(forests):
+            for e in forest.parent:
+                if e != -1:
+                    self.owner[e] = fi
 
     def add_forest(self) -> None:
         self.forests.append(_Forest(self.g))
@@ -247,10 +254,10 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
     the decomposition's dense set. Where nothing failed, k = k0 and the
     whole graph is the witness.
 
-    The decomposition carries its rooting: an edge in slot s of its owner w
-    is w's parent edge in forest s, each slot tree hanging from its
-    earliest vertex in the order; after the exchange search, each forest's
-    parent edges are those its rooted _Forest kept.
+    The slot loop roots the seed: an edge in slot s of its owner w is w's
+    parent edge in forest s, each tree hanging from its earliest vertex in
+    the order. The exchange search's forests adopt the first k rows and keep
+    them rooted; the decomposition carries the final parent-edge rows.
 
     col, when given, must be coloring_number(g); a caller that already has
     it spares a second pass.
@@ -270,29 +277,22 @@ def arboricity(g: Graph, col: tuple[int, list[int]] | None = None
         slot.append(s)
         rooting[s][w] = e
         owned[w] = s + 1
-    if r - 1 <= k:
-        decomp = ForestDecomposition(g, tuple(slot), k, rooting=tuple(map(tuple, rooting)))
-    else:
-        classes: list[list[int]] = [[] for _ in range(k)]
-        for e, s in enumerate(slot):
-            if s < k:
-                classes[s].append(e)
-        part = _Partitioner(g, classes, order)
-        failed = None
+    dense = failed = None
+    if r - 1 > k:
+        part = _Partitioner(g, [_Forest(g, up, order) for up in rooting[:k]])
         for e, s in enumerate(slot):
             if s >= k:
                 while not part.place(e):
                     failed = e
                     part.add_forest()
-        dense = None
         if failed is not None:
             uf = UnionFind(n)
             for x in part.reached:
                 uf.union(*edges[x])
             root = uf.find(edges[failed][0])
             dense = frozenset(v for v in range(n) if uf.find(v) == root)
-        decomp = ForestDecomposition(g, tuple(part.owner), len(part.forests), dense,
-                                     tuple(tuple(f.parent) for f in part.forests))
+        slot, rooting = part.owner, [f.parent for f in part.forests]
+    decomp = ForestDecomposition(g, tuple(slot), len(rooting), dense, tuple(map(tuple, rooting)))
     if not decomp.is_valid():
         raise AssertionError("forest partition produced an invalid decomposition")
     return decomp.num_forests, decomp

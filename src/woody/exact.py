@@ -138,18 +138,33 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
 def max_clique_size(g: Graph, order: list[int] | None = None) -> int:
     """Clique number ω of g: exact branch and bound on vertex bitsets.
 
-    Bit j is the j-th vertex removed in the smallest-last order, so every
-    vertex branches only on its later neighbours, of which there are at
-    most the degeneracy. order, when given, is read as coloring_number(g)[1]:
-    any order of the vertices gives ω, and that one bounds the branching;
-    a caller that already has it spares a second peel.
+    Each vertex, in smallest-last removal order, branches only on its later
+    neighbours, of which there are at most the degeneracy, so its bitsets
+    span just those, bit i for the i-th of them in removal order. That is
+    the branching and pruning of bitsets over all n vertices, in space
+    linear in the edges. order, when given, is read as
+    coloring_number(g)[1]: any order of the vertices gives ω, and that one
+    bounds the branching; a caller that already has it spares a second peel.
     """
     removal = (coloring_number(g)[1] if order is None else order)[::-1]
-    bit = [0] * g.n
+    pos = [0] * g.n
     for j, v in enumerate(removal):
-        bit[v] = 1 << j
-    adj = [sum(map(bit.__getitem__, g.adj[v])) for v in removal]
-    return _grow_clique(adj, (1 << g.n) - 1, 0, 0)
+        pos[v] = j
+    later: list[list[int]] = [[] for _ in removal]
+    for j, v in enumerate(removal):
+        for p in map(pos.__getitem__, g.adj[v]):
+            if p < j:
+                later[p].append(j)
+    best, bit = 0, [0] * g.n  # bit[p]: p's bit among the current neighbours, else 0
+    for nbrs in later:
+        if len(nbrs) >= best:  # else a clique through this vertex cannot beat best
+            for i, p in enumerate(nbrs):
+                bit[p] = 1 << i
+            adj = [sum(map(bit.__getitem__, later[p])) for p in nbrs]
+            for p in nbrs:
+                bit[p] = 0
+            best = _grow_clique(adj, (1 << len(nbrs)) - 1, 1, best)
+    return best
 
 
 def _grow_clique(adj: list[int], cand: int, size: int, best: int) -> int:

@@ -394,7 +394,8 @@ def is_p_woody(c: EdgeColoring, p: int, force: bool = False) -> bool:
 
 
 def is_proper_vertex(f: VertexColoring) -> bool:
-    return all(f.colors[u] != f.colors[v] for u, v in f.parent.edges)
+    """check_proper_vertex's verdict alone."""
+    return check_proper_vertex(f)[0]
 
 
 def is_proper_edge(c: EdgeColoring) -> bool:

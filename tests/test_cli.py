@@ -7,7 +7,7 @@ import pytest
 
 import woody.cli
 import woody.construct
-from woody.cli import main
+from woody.cli import _flag, main
 from woody.graphs import (
     complete_graph,
     cycle_graph,
@@ -369,6 +369,31 @@ class TestHuntCommand:
         assert "seed,5" in open(summary).read().splitlines()
         assert main(args + ["--seed", "0"]) == 0
         assert "seed,0" in open(summary).read().splitlines()
+
+    @pytest.mark.parametrize("line, shown", [
+        ("budget_nodes=abc", "budget_nodes=abc: invalid literal for int() with base 10: 'abc'"),
+        ("strict=maybe", "strict=maybe: not one of 1/true/yes or 0/false/no"),
+        ("strict=on", "strict=on: not one of 1/true/yes or 0/false/no"),
+        ("bogus=1", "unknown config key 'bogus'"),
+    ], ids=["int", "maybe", "on", "unknown-key"])
+    def test_a_bad_config_value_exits_2_naming_file_and_key(self, tmp_path, capsys,
+                                                            line, shown):
+        conf = tmp_path / "conf"
+        conf.write_text(f"seed=1\n{line}\n")
+        report = tmp_path / "r.jsonl"
+        assert main(["hunt", str(DATA / "planar_connected_n3.g6"), "--config", str(conf),
+                     "--report", str(report), "--summary", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {conf}: {shown}\n"
+        assert not report.exists()
+
+    def test_config_flags_read_yes_and_no_in_any_case(self):
+        for word in ("1", "true", "TRUE", "yes", "Yes"):
+            assert _flag(word) is True
+        for word in ("0", "false", "False", "no", "NO"):
+            assert _flag(word) is False
+        for word in ("maybe", "on", "off", "2", ""):
+            with pytest.raises(ValueError):
+                _flag(word)
 
     @pytest.mark.parametrize("key,value", BAD_BUDGETS)
     def test_bad_budget_rejected(self, tmp_path, capsys, key, value):

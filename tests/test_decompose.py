@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from woody import decompose
 from woody.decompose import (
     ForestDecomposition,
     _Forest,
@@ -22,6 +23,8 @@ from woody.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
+    subset_adjacency,
+    tree_walk,
 )
 from woody.verify import DensityCertificate
 
@@ -39,8 +42,8 @@ from conftest import (
 class BfsPartitioner:
     """The exchange search as it was before forests kept rooted state: a
     breadth-first search over a whole forest for every edge and forest
-    tried. `moves` counts edges displaced from a forest. It is seeded as
-    _Partitioner is, with one edge class per forest."""
+    tried. `moves` counts edges displaced from a forest. It is seeded with
+    one edge class per forest."""
 
     def __init__(self, g: Graph, classes):
         self.g = g
@@ -117,7 +120,9 @@ class BfsPartitioner:
 def exchange_partition(g: Graph, cls=_Partitioner):
     """The exchange search alone: cls from empty forests at the density
     bound, fed every edge in index order."""
-    part = cls(g, [[] for _ in range(max(1, -((-g.m) // (g.n - 1))))])
+    part = cls(g, [])
+    for _ in range(max(1, -((-g.m) // (g.n - 1)))):
+        part.add_forest()
     for e in range(g.m):
         while not part.place(e):
             part.add_forest()
@@ -134,6 +139,31 @@ def k5_with_pendant_path(length: int = 20) -> Graph:
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     edges += [(v, v + 1) for v in range(4, 4 + length)]
     return Graph(5 + length, edges)
+
+
+def rooted_rows(g: Graph, classes, order):
+    """Parent-edge rows of the acyclic edge classes, each tree hung by
+    tree_walk from its earliest vertex in order, and for each row a
+    parent-first order of its trees' vertices (each root, then its walk).
+    Rows rooted at arbitrary vertices may admit no common parent-first
+    order, so each row gets its own."""
+    rows, orders = [], []
+    for eids in classes:
+        nbrs = subset_adjacency(g, eids)
+        up, walk = [-1] * g.n, []
+        for r in order:
+            if r in nbrs and r not in walk:
+                walk.append(r)
+                for x, e, _ in tree_walk(nbrs, r):
+                    up[x] = e
+                    walk.append(x)
+        rows.append(up)
+        orders.append(walk)
+    return rows, orders
+
+
+def adopted(g: Graph, rows, orders) -> _Partitioner:
+    return _Partitioner(g, [_Forest(g, up, walk) for up, walk in zip(rows, orders)])
 
 
 def check_forest_state(part: _Partitioner) -> None:
@@ -212,7 +242,7 @@ class TestArboricity:
         k5_with_pendant_path(),
     ])
     def test_forest_state_after_every_placement(self, g):
-        part = _Partitioner(g, [[], []])
+        part = _Partitioner(g, [_Forest(g), _Forest(g)])
         moved = 0
         for e in range(g.m):
             before = list(part.owner)
@@ -226,7 +256,7 @@ class TestArboricity:
     def test_forest_state_under_random_links_and_cuts(self):
         rng = random.Random(7)
         g = relabeled(grid_graph(6, 6, triangulated=True), rng)
-        part = _Partitioner(g, [[]])
+        part = _Partitioner(g, [_Forest(g)])
         label = part.forests[0].label
         for _ in range(400):
             e = rng.randrange(g.m)
@@ -239,8 +269,9 @@ class TestArboricity:
             check_forest_state(part)
 
     def test_seeded_forests_build_and_root_themselves(self):
-        # each seed class becomes a rooted forest, every tree hung from its
-        # earliest vertex in the given order and labelled by it
+        # each seed class, rooted by rooted_rows, becomes a rooted forest,
+        # every tree hung from its earliest vertex in the given order and
+        # labelled by it
         rng = random.Random(26)
         graphs = [relabeled(grid_graph(8, 8, triangulated=True), rng),
                   k5_with_pendant_path(), complete_graph(7)]
@@ -251,7 +282,7 @@ class TestArboricity:
             pos = {v: i for i, v in enumerate(order)}
             classes = [[e for e, f in enumerate(d.assignment) if f == fi]
                        for fi in range(d.num_forests)]
-            part = _Partitioner(g, classes, order)
+            part = adopted(g, *rooted_rows(g, classes, order))
             assert len(part.forests) == d.num_forests and tuple(part.owner) == d.assignment
             check_forest_state(part)
             for forest in part.forests:
@@ -271,7 +302,7 @@ class TestArboricity:
             classes = [[e for e, f in enumerate(d.assignment) if f == fi and e % 2 == 0]
                        for fi in range(k)]
             seeded = {e for eids in classes for e in eids}
-            part = _Partitioner(g, classes, range(g.n))
+            part = adopted(g, *rooted_rows(g, classes, range(g.n)))
             ref = BfsPartitioner(g, classes)
             for e in range(g.m):
                 if e not in seeded:
@@ -283,15 +314,44 @@ class TestArboricity:
             moves, grown = moves + ref.moves, grown + ref.k - k
         assert moves > 0 and grown > 0  # exchange chains ran and searches failed
 
-    def test_a_seed_tree_the_order_misses_still_hangs(self):
+    def test_an_order_that_misses_a_child_is_refused(self):
         # a seeded tree left unhung would keep every vertex its own root, so
         # the closing edge of the triangle would pass the label test
         g = cycle_graph(3)
-        for order in ((), [2], range(3)):
-            part = _Partitioner(g, [[0, 1]], order)
-            assert not part.place(2)
-            assert part.owner == [0, 0, None]
+        (up,), (walk,) = rooted_rows(g, [[0, 1]], range(3))
+        for order in ((), [0], [2], walk[:-1]):
+            with pytest.raises(ValueError, match="misses a vertex"):
+                _Forest(g, up, order)
+        part = _Partitioner(g, [_Forest(g, up, walk)])
+        assert not part.place(2)
+        assert part.owner == [0, 0, None]
+        check_forest_state(part)
+
+    def test_adopting_rows_walks_no_tree(self, monkeypatch):
+        # one pass over the order sets labels, depths, sizes and adjacency;
+        # only link and cut walk a tree
+        rng = random.Random(29)
+        seeds = []
+        for g in (complete_graph(8), k5_with_pendant_path(),
+                  relabeled(grid_graph(8, 8, triangulated=True), rng)):
+            _, d = arboricity(g)
+            classes = [[e for e, f in enumerate(d.assignment) if f == fi]
+                       for fi in range(d.num_forests)]
+            seeds.append((g, d, rooted_rows(g, classes, rng.sample(range(g.n), g.n))))
+        walks = []
+        real_walk = decompose.tree_walk
+
+        def counting_walk(nbrs, root):
+            walks.append(root)
+            return real_walk(nbrs, root)
+
+        monkeypatch.setattr(decompose, "tree_walk", counting_walk)
+        for g, d, (rows, orders) in seeds:
+            part = adopted(g, rows, orders)
+            assert walks == [] and tuple(part.owner) == d.assignment
             check_forest_state(part)
+        part.forests[0].cut(part.owner.index(0))
+        assert len(walks) >= 2  # the cut walked both sides
 
     def test_every_decomposition_carries_its_rooting(self):
         # per forest, each vertex has one parent edge (-1 at a root), which
@@ -323,7 +383,7 @@ class TestArboricity:
 
     def test_insert_refuses_a_cycle(self):
         g = cycle_graph(3)
-        part = _Partitioner(g, [[]])
+        part = _Partitioner(g, [_Forest(g)])
         part._insert(0, 0)
         part._insert(0, 1)
         with pytest.raises(AssertionError):
@@ -342,7 +402,7 @@ class TestArboricity:
         # of them from each forest, and that edge
         failures = 0
         for g in small_corpus():
-            part = _Partitioner(g, [[]])
+            part = _Partitioner(g, [_Forest(g)])
             for e in range(g.m):
                 while not part.place(e):
                     failures += 1

@@ -21,6 +21,7 @@ from woody.exact import (
 )
 from woody.graphs import (
     Graph,
+    coloring_number,
     complete_graph,
     cycle_graph,
     has_cycle,
@@ -413,6 +414,21 @@ class TestLowerBounds:
         assert max_clique_size(g) == 4
         assert strong_arboricity_lower_bound(g) == 4
         assert time.perf_counter() - t0 < 1.0
+
+    def test_clique_number_memory_is_linear_on_a_long_path(self):
+        # bitsets over all n vertices took 207 MiB here; each vertex's
+        # bitsets now span only its later neighbours
+        import tracemalloc
+
+        g = path_graph(40_000)
+        order = coloring_number(g)[1]
+        tracemalloc.start()
+        try:
+            assert max_clique_size(g, order) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # the rollback union-find the static-order χ_a reference below relies on
