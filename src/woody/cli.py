@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / valid / no violation, 1 invalid coloring or failed
 precondition, 2 unreadable input (parse or size-guard errors, a path that
-cannot be read or written), a bad option or a crashed hunt worker, 4 exact
-solve ended inexact on budget, 10 conjecture violation found (the
+cannot be read or written), a bad option or a crashed hunt worker, 4 bounds
+still apart when the budget ran out, 10 conjecture violation found (the
 counterexample is quarantined first).
 """
 

@@ -52,20 +52,24 @@ class Budget:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exact solve.
+    """Outcome of an exact solve: lower, a proven lower bound, and upper,
+    the palette of certificate, a re-verified coloring. The solve is exact
+    when they meet, whether or not the budget ran out; value is then that
+    number, else None."""
 
-    exact results carry value == lower == upper, inexact ones the lower
-    bound proven before the budget ran out; either way the certificate is
-    a re-verified coloring whose palette is upper.
-    """
-
-    value: int | None
     lower: int
     upper: int
-    exact: bool
     certificate: object
     nodes: int
     seconds: float
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def value(self) -> int | None:
+        return self.lower if self.exact else None
 
 
 class _BudgetExhausted(Exception):
@@ -104,35 +108,33 @@ def _vertex_order(g: Graph) -> list[int]:
 
 
 def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
-            check, exhausted) -> SolveResult:
+            check, exhausted=None) -> SolveResult:
     """Iterative deepening shared by the exact coloring solvers.
 
-    A graph with nothing to color (no edges for an edge coloring, no
-    vertices for a vertex coloring) is solved by the empty coloring.
-    Otherwise k runs up from lower() and search(k, ticker) returns at most
-    k colors, or None when k colors do not suffice. The first coloring
-    found is normalized and passed through verify.verified with check.
-    If the budget runs out at level k, k is the proven lower bound and
-    exhausted() gives a coloring that has passed its own verified gate,
-    whose palette is the upper bound to report.
+    k runs up from lower(), or from 0 when there is nothing to color (no
+    edges, or no vertices), and search(k, ticker) returns at most k colors,
+    or None when k colors do not suffice. The first coloring found is
+    normalized and passed through verify.verified with check. If the
+    budget runs out at level k, the certificate is exhausted(), which has
+    passed its own verified gate, or else the all-distinct coloring through
+    check. k is the proven lower bound and the certificate's palette the
+    upper one; the one exit refuses a palette below k (AssertionError).
     """
     t0 = time.monotonic()
     ticker = _Ticker(budget, t0)
-    if not coloring_type.length_for(g):
-        return SolveResult(0, 0, 0, True, coloring_type(g, []), 0, time.monotonic() - t0)
-    k = lower()
-    while True:
-        try:
-            found = search(k, ticker)
-        except _BudgetExhausted:
-            certificate = exhausted()
-            return SolveResult(None, k, certificate.palette_size, False, certificate,
-                               ticker.nodes, time.monotonic() - t0)
-        if found is not None:
-            return SolveResult(k, k, k, True,
-                               verified(coloring_type(g, found).normalized(), check),
-                               ticker.nodes, time.monotonic() - t0)
-        k += 1
+    size = coloring_type.length_for(g)
+    k = lower() if size else 0
+    try:
+        while (found := search(k, ticker)) is None:
+            k += 1
+        certificate = verified(coloring_type(g, found).normalized(), check)
+    except _BudgetExhausted:
+        certificate = exhausted() if exhausted else verified(
+            coloring_type(g, range(size)), check)
+    upper = certificate.palette_size
+    if upper < k:
+        raise AssertionError(f"verified palette {upper} is below the proven lower bound {k}")
+    return SolveResult(k, upper, certificate, ticker.nodes, time.monotonic() - t0)
 
 
 def max_clique_size(g: Graph, order: list[int] | None = None) -> int:
@@ -463,8 +465,7 @@ def acyclic_chromatic_exact(g: Graph, budget: Budget | None = None,
     return _deepen(
         g, budget, VertexColoring, lambda: acyclic_chromatic_lower_bound(g, omega),
         lambda k, ticker: _search_acyclic(g, k, order, ticker),
-        is_acyclic_vertex,
-        lambda: verified(VertexColoring(g, range(g.n)), is_acyclic_vertex))
+        is_acyclic_vertex)
 
 
 def chromatic_exact(g: Graph, budget: Budget | None = None,
@@ -476,8 +477,7 @@ def chromatic_exact(g: Graph, budget: Budget | None = None,
         g, budget, VertexColoring,
         lambda: max_clique_size(g) if omega is None else omega,
         lambda k, ticker: _search_proper(g.adj, k, order, ticker),
-        check_proper_vertex,
-        lambda: verified(VertexColoring(g, range(g.n)), check_proper_vertex))
+        check_proper_vertex)
 
 
 def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult:
@@ -498,7 +498,7 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
         g, budget, EdgeColoring,
         lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
         lambda k, ticker: _search_proper(line, k, order, ticker),
-        check, lambda: verified(EdgeColoring(g, range(g.m)), check))
+        check)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .graphs import (
     graph6_lines,
     parse_graph6,
 )
-from .verify import EdgeColoring, replay_coloring_number
+from .verify import replay_coloring_number
 # is_strongly_woody is not called here, but the hunt tracer (bench/spans.py)
 # patches it under this module's name, so the name stays bound.
 from .verify import is_strongly_woody  # noqa: F401
@@ -152,26 +152,19 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
         "chi": chi,
         "chi_a": chia_res.value,
         "euler_sanity": euler_planar_sanity(g),
-        "budget_exhausted": (not zeta_res.exact) or (not chia_res.exact),
+        # true when some value was left inexact, its bounds still apart
+        "budget_exhausted": not (zeta_res.exact and chia_res.exact),
+        "zeta_exact": zeta_res.exact,
+        "zeta": zeta_res.value if zeta_res.exact else [zeta_res.lower, zeta_res.upper],
+        # the solver verified it, and its palette is the solver's upper bound
+        "zeta_coloring": list(zeta_res.certificate.colors) if zeta_res.exact else None,
     }
-    if zeta_res.exact:
-        record["zeta"] = zeta_res.value
-        record["zeta_exact"] = True
-        # strong_arboricity_exact has verified the certificate itself
-        cert: EdgeColoring = zeta_res.certificate
-        if cert.palette_size != zeta_res.value:
-            raise AssertionError(f"{graph_id}: certificate palette differs from zeta")
-        record["zeta_coloring"] = list(cert.colors)
-    else:
-        record["zeta"] = [zeta_res.lower, zeta_res.upper]
-        record["zeta_exact"] = False
-        record["zeta_coloring"] = None
 
     # sandwich consistency on exactly solved instances: arb <= zeta <= chi_a
-    if record["zeta_exact"]:
-        if record["zeta"] < arb_k:
+    if zeta_res.exact:
+        if zeta_res.value < arb_k:
             raise AssertionError(f"{graph_id}: zeta below arboricity")
-        if chia_res.exact and record["zeta"] > chia_res.value:
+        if chia_res.exact and zeta_res.value > chia_res.value:
             raise AssertionError(f"{graph_id}: zeta above acyclic chromatic number")
 
     flags = {}
@@ -368,8 +361,10 @@ def read_text(path: str, encoding: str = "ascii") -> str:
 
 
 def parse_config_file(path: str) -> dict:
-    """key=value lines of UTF-8 text; blank lines and '#' comments ignored."""
+    """key=value lines of UTF-8 text; blank lines and '#' comments ignored.
+    A key given twice is a ValueError naming the file and both lines."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     # lines end at \n, \r or \r\n, as a file opened in text mode reads them
     for lineno, raw in enumerate(io.StringIO(read_text(path, "utf-8"), newline=None), 1):
         line = raw.strip()
@@ -377,6 +372,9 @@ def parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: bad config line: {raw.rstrip()}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        out[key] = value
     return out

@@ -57,12 +57,6 @@ class _Coloring:
     def used_colors(self) -> set[int]:
         return set(self.colors)
 
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, c in enumerate(self.colors):
-            out.setdefault(c, []).append(i)
-        return out
-
     def normalized(self) -> "_Coloring":
         """Renumber colors by first appearance in index order."""
         remap: dict[int, int] = {}

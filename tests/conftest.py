@@ -264,6 +264,14 @@ def random_coloring(g: Graph, palette: int, rng: random.Random):
     return [rng.randrange(palette) for _ in range(g.m)]
 
 
+def color_classes(coloring) -> dict[int, list[int]]:
+    """Each color of coloring to its indices, in index order."""
+    out: dict[int, list[int]] = {}
+    for i, c in enumerate(coloring.colors):
+        out.setdefault(c, []).append(i)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # a process pool stand-in that starts no process
 

@@ -15,6 +15,7 @@ from woody.graphs import (
     format_edge_list,
     parse_graph6,
     path_graph,
+    star_graph,
 )
 from woody.harness import iter_corpus
 from woody.verify import EdgeColoring, is_strongly_woody
@@ -224,6 +225,18 @@ class TestColorCommand:
             f'"vertices": {list(range(2 * a))}}}\n')
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("method", ["product", "acyclic"])
+    def test_exhausted_solve_whose_bounds_meet_colors(self, tmp_path, capsys, method):
+        # K6 on 3 nodes: χ and χ_a are both 6, ω and the all-distinct palette
+        gp = write_graph(tmp_path, complete_graph(6))
+        out = tmp_path / "o"
+        assert main(["color", gp, "--method", method, "--budget-nodes", "3",
+                     "-o", str(out)]) == 0
+        g = parse_graph6(encode_graph6(complete_graph(6)))
+        colors = [int(t) for t in out.read_text().split()]
+        assert is_strongly_woody(EdgeColoring(g, colors))[0]
+        assert "inexact" not in capsys.readouterr().err
+
     def test_method_required(self, tmp_path):
         gp = write_graph(tmp_path, cycle_graph(4))
         assert main(["color", gp]) == 2
@@ -266,6 +279,17 @@ class TestExactCommand:
         code = main(["exact", gp, "--param", "strong-arb", "--budget-nodes", "10"])
         assert code == 4
         assert "inexact" in capsys.readouterr().out
+
+    def test_exhausted_bounds_that_meet_exit_0(self, tmp_path, capsys):
+        # K1,3 as an edge list: one node runs out, but the square pipeline's
+        # one color meets the lower bound 1
+        gp = tmp_path / "star"
+        gp.write_text(format_edge_list(star_graph(3)))
+        cert = tmp_path / "cert"
+        assert main(["exact", str(gp), "--param", "strong-arb", "--budget-nodes", "1",
+                     "-o", str(cert)]) == 0
+        assert capsys.readouterr().out.startswith("strong-arb = 1 (nodes 2,")
+        assert cert.read_text().split() == ["0", "0", "0"]
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--budget-nodes", "-3", "budget nodes must be at least 1, got -3"),
@@ -385,6 +409,18 @@ class TestHuntCommand:
                      "--report", str(report), "--summary", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err == f"error: {conf}: {shown}\n"
         assert not report.exists()
+
+    def test_a_repeated_config_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        # the first value does not parse, so keeping the last would hide it
+        gp = write_graph(tmp_path, cycle_graph(4))
+        conf = tmp_path / "dup.conf"
+        conf.write_text("budget_nodes=abc\n# comment\nseed=1\nbudget_nodes=5\n")
+        cert = tmp_path / "cert"
+        assert main(["exact", gp, "--param", "strong-arb", "--config", str(conf),
+                     "-o", str(cert)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {conf}:4: config key 'budget_nodes' repeats line 1\n")
+        assert not cert.exists()
 
     def test_config_flags_read_yes_and_no_in_any_case(self):
         for word in ("1", "true", "TRUE", "yes", "Yes"):

@@ -33,6 +33,7 @@ from woody.verify import (
 )
 
 from conftest import (
+    color_classes,
     complete_bipartite,
     corpus_graphs,
     cube_graph,
@@ -133,7 +134,7 @@ class TestDepthParityShading:
             k, decomp = arboricity(g)
             c = depth_parity_shading(decomp)
             assert c.palette_size <= 2 * k
-            for color, eids in c.classes().items():
+            for color, eids in color_classes(c).items():
                 nbrs = {}
                 for e in eids:
                     u, v = g.edges[e]

@@ -171,7 +171,8 @@ class TestStrongArboricity:
     def test_edgeless_and_exhausted_results_are_pinned(self):
         # (value, lower, upper, exact, certificate colors) of all four solvers;
         # an exhausted solve reports the palette of a verified coloring as
-        # its upper bound: square for ζ, all colors distinct for the others
+        # its upper bound: square for ζ, all colors distinct for the others;
+        # K6's χ_a and χ bounds meet at 6, so those solves are exact
         solvers = (strong_arboricity_exact, acyclic_chromatic_exact,
                    chromatic_exact, chromatic_index_exact)
 
@@ -186,8 +187,8 @@ class TestStrongArboricity:
         k6 = complete_graph(6)
         square = (0, 1, 2, 3, 4, 5, 3, 6, 7, 4, 8, 9, 10, 11, 12)
         assert [outcome(f(k6, tight)) for f in solvers] == [
-            (None, 5, 13, False, square), (None, 6, 6, False, tuple(range(6))),
-            (None, 6, 6, False, tuple(range(6))), (None, 5, 15, False, tuple(range(15)))]
+            (None, 5, 13, False, square), (6, 6, 6, True, tuple(range(6))),
+            (6, 6, 6, True, tuple(range(6))), (None, 5, 15, False, tuple(range(15)))]
         assert type(strong_arboricity_exact(Graph(0, [])).certificate) is EdgeColoring
         assert type(chromatic_exact(Graph(0, [])).certificate) is VertexColoring
 
@@ -204,6 +205,22 @@ class TestStrongArboricity:
             monkeypatch.setattr(module, "is_strongly_woody", counted)
         res = strong_arboricity_exact(complete_graph(6), Budget(max_nodes=3))
         assert not res.exact and calls == [res.certificate.colors]
+
+    def test_exhausted_solve_whose_bounds_meet_is_exact(self):
+        # K1,3: the square pipeline's one color meets the lower bound 1
+        res = strong_arboricity_exact(star_graph(3), Budget(max_nodes=1))
+        assert res.exact and res.value == 1 and (res.lower, res.upper) == (1, 1)
+        assert res.certificate.colors == (0, 0, 0)
+
+    @pytest.mark.parametrize("solve, g, omega, lower", [
+        (chromatic_exact, cycle_graph(4), 3, 3),
+        (acyclic_chromatic_exact, path_graph(4), 4, 4),
+        (strong_arboricity_exact, cycle_graph(5), 5, 5),
+    ])
+    def test_a_palette_below_the_lower_bound_is_refused(self, solve, g, omega, lower):
+        # an ω too large gives a lower bound the verified coloring beats
+        with pytest.raises(AssertionError, match=rf"palette 2 is below .* bound {lower}$"):
+            solve(g, omega=omega)
 
     def test_sandwich_against_acyclic_chromatic(self, connected_n6):
         for g in connected_n6[::6]:
@@ -493,9 +510,14 @@ class TestAcyclicChromatic:
             assert res.certificate.palette_size == res.value
 
     def test_budget_path(self):
+        # K8's bounds meet (ω = 8 = the all-distinct palette), so the solve
+        # is exact though the budget ran out; C5's stay apart
         res = acyclic_chromatic_exact(complete_graph(8), Budget(max_nodes=3))
+        assert res.exact and res.value == 8 and (res.lower, res.upper) == (8, 8)
+        assert is_acyclic_vertex(res.certificate)[0]
+        res = acyclic_chromatic_exact(cycle_graph(5), Budget(max_nodes=3))
         assert not res.exact and res.value is None
-        assert res.lower <= res.upper
+        assert (res.lower, res.upper) == (3, 5)
 
     def test_matches_static_order_search(self, connected_n7):
         # the search in a fixed vertex order, with a rollback union-find per

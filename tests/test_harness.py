@@ -82,6 +82,16 @@ class TestHuntGraph:
         assert rec["girth"] is None
         assert rec["zeta"] == 1
 
+    def test_an_exhausted_solve_whose_bounds_meet_is_recorded_exact(self):
+        # K1,3 on one node: ζ's bounds meet at 1, χ_a's stay [2, 4]
+        from woody.graphs import star_graph
+
+        cfg = HuntConfig(budget=Budget(max_nodes=1))
+        rec = hunt_graph(make_task(encode_graph6(star_graph(3)), cfg))
+        assert rec["zeta"] == 1 and rec["zeta_exact"]
+        assert rec["zeta_coloring"] == [0, 0, 0]
+        assert rec["chi_a"] is None and rec["budget_exhausted"]
+
     def test_k5_fails_planar_sanity(self):
         rec = hunt_graph(make_task(encode_graph6(complete_graph(5)), DEFAULT))
         assert not rec["euler_sanity"]

@@ -100,6 +100,14 @@ def test_certificate_checks_live_in_verify():
     assert woody.harness.replay_coloring_number is woody.verify.replay_coloring_number
 
 
+def corpus_digest(name: str) -> str:
+    root = Path(woody.__file__).parent.parent.parent
+    out = subprocess.run([sys.executable, "tools/digest.py", f"tests/data/{name}"],
+                         capture_output=True, text=True, cwd=root, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    return out.stdout
+
+
 def test_digest_of_connected_n7_is_pinned():
     # tools/digest.py hashes every arboricity decomposition, every ζ and χ_a
     # value, node count and certificate, every square pipeline coloring and
@@ -108,9 +116,13 @@ def test_digest_of_connected_n7_is_pinned():
     # alter nothing is checked against the commit before it; a change that
     # moves a certificate or a node count on purpose re-pins it, and its
     # CHANGES.md entry says why.
-    root = Path(woody.__file__).parent.parent.parent
-    out = subprocess.run([sys.executable, "tools/digest.py", "tests/data/connected_n7.g6"],
-                         capture_output=True, text=True, cwd=root, check=True,
-                         env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert out.stdout == ("ee9e8923816d8e842ed3ce7e34a92ef2ef7c06456b4800df5ae4787a2b795170"
-                          "  tests/data/connected_n7.g6\n")
+    assert corpus_digest("connected_n7.g6") == (
+        "ee9e8923816d8e842ed3ce7e34a92ef2ef7c06456b4800df5ae4787a2b795170"
+        "  tests/data/connected_n7.g6\n")
+
+
+def test_digest_of_triangle_free_planar_upto12_is_pinned():
+    # the only cached graphs with n = 9 to 12, pinned as connected_n7 is
+    assert corpus_digest("triangle_free_planar_upto12.g6") == (
+        "0690c775636fafa312e23d277d90a5548e6ddf13f3163c3bf846ca94ede635b9"
+        "  tests/data/triangle_free_planar_upto12.g6\n")

@@ -37,6 +37,7 @@ from woody.verify import (
 )
 
 from conftest import (
+    color_classes,
     connected_upto,
     contract_edge,
     corpus_graphs,
@@ -53,11 +54,10 @@ class TestEdgeColoringType:
         c = EdgeColoring(g, [0, 2, 0, 2])
         assert c.total
         assert c.palette_size == 3 and c.used_colors() == {0, 2}
-        assert c.classes() == {0: [0, 2], 2: [1, 3]}
         # the empty coloring of a graph with no edges
         empty = EdgeColoring(Graph(3, []), [])
         assert empty.palette_size == 0 and empty.used_colors() == set()
-        assert empty.normalized().colors == () and empty.classes() == {}
+        assert empty.normalized().colors == ()
         assert VertexColoring(Graph(0, []), []).normalized().palette_size == 0
 
     def test_normalized_renumbers_by_first_appearance(self):
@@ -264,7 +264,7 @@ class TestRefinementMonotonicity:
             base = strong_arboricity_exact(g).certificate
             colors = list(base.colors)
             # split the largest class in two at a random subset
-            classes = base.classes()
+            classes = color_classes(base)
             color, eids = max(classes.items(), key=lambda kv: len(kv[1]))
             if len(eids) < 2:
                 continue
@@ -372,7 +372,7 @@ class TestCycleEnumeration:
 
 def ref_is_woody(c):
     g = c.parent
-    for color, eids in sorted(c.classes().items()):
+    for color, eids in sorted(color_classes(c).items()):
         uf = UnionFind(g.n)
         placed = []
         for e in eids:
@@ -391,7 +391,7 @@ def ref_is_strongly_woody(c):
     if not ok:
         return False, witness
     g = c.parent
-    for color, eids in sorted(c.classes().items()):
+    for color, eids in sorted(color_classes(c).items()):
         uf = UnionFind(g.n)
         for e in eids:
             u, v = g.edges[e]
