@@ -44,9 +44,8 @@ class ForestDecomposition:
     rooting: tuple[tuple[int, ...], ...] | None = None
 
     def is_valid(self) -> bool:
-        """Every class is below num_forests and is a forest (verify.is_woody)."""
-        if len(self.assignment) != self.parent.m:
-            return False
+        """Every class is below num_forests and is a forest (verify.is_woody);
+        the EdgeColoring it builds refuses a wrong length (ValueError)."""
         if any(not 0 <= f < self.num_forests for f in self.assignment):
             return False
         return is_woody(EdgeColoring(self.parent, self.assignment))[0]

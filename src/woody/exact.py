@@ -36,8 +36,9 @@ from .verify import (
 
 @dataclass(frozen=True)
 class Budget:
-    """Node-count and wall-clock ceilings for one solver call; None means
-    no ceiling. A ceiling that could never be met is refused."""
+    """A node ceiling and an optional deadline in seconds for one solver
+    call; None means none. A deadline makes the result depend on the
+    machine's speed. A ceiling that could never be met is refused."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -61,7 +62,6 @@ class SolveResult:
     upper: int
     certificate: object
     nodes: int
-    seconds: float
 
     @property
     def exact(self) -> bool:
@@ -77,22 +77,22 @@ class _BudgetExhausted(Exception):
 
 
 class _Ticker:
+    """Counts search nodes up to the ceiling, so nodes == max_nodes on a node
+    budget's exhaustion; reads the clock only for a deadline asked for."""
+
     __slots__ = ("nodes", "max_nodes", "deadline")
 
-    def __init__(self, budget: Budget | None, t0: float):
+    def __init__(self, budget: Budget | None):
         self.nodes = 0
         self.max_nodes = budget.max_nodes if budget else None
-        self.deadline = (
-            t0 + budget.max_seconds
-            if budget and budget.max_seconds is not None else None)
+        self.deadline = (time.monotonic() + budget.max_seconds
+                         if budget and budget.max_seconds is not None else None)
 
     def tick(self) -> None:
+        if self.nodes == self.max_nodes or self.deadline is not None and (
+                self.nodes & 255 == 255 and time.monotonic() > self.deadline):
+            raise _BudgetExhausted
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExhausted
-        if self.deadline is not None and (self.nodes & 255) == 0 \
-                and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
 
 
 def _edge_order(g: Graph) -> list[int]:
@@ -120,8 +120,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
     check. k is the proven lower bound and the certificate's palette the
     upper one; the one exit refuses a palette below k (AssertionError).
     """
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
+    ticker = _Ticker(budget)
     size = coloring_type.length_for(g)
     k = lower() if size else 0
     try:
@@ -134,7 +133,7 @@ def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
     upper = certificate.palette_size
     if upper < k:
         raise AssertionError(f"verified palette {upper} is below the proven lower bound {k}")
-    return SolveResult(k, upper, certificate, ticker.nodes, time.monotonic() - t0)
+    return SolveResult(k, upper, certificate, ticker.nodes)
 
 
 def max_clique_size(g: Graph, order: list[int] | None = None) -> int:
@@ -503,18 +502,22 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
 
 @dataclass(frozen=True)
 class PartitionSearchResult:
-    """Outcome of the forest / 2-independent partition search.
+    """Outcome of the forest / 2-independent partition search: A, or None
+    when none was found, which exact=True proves and exact=False only
+    leaves open. found and f (the other of the _n vertices) are read off a."""
 
-    found=False with exact=True proves nonexistence; with exact=False it
-    only records an exhausted budget.
-    """
-
-    found: bool
     a: frozenset | None
-    f: frozenset | None
     exact: bool
     nodes: int
-    seconds: float
+    _n: int
+
+    @property
+    def found(self) -> bool:
+        return self.a is not None
+
+    @property
+    def f(self) -> frozenset | None:
+        return None if self.a is None else frozenset(range(self._n)) - self.a
 
 
 def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
@@ -530,8 +533,7 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
     neighbours in v's F-tree, the one tree that grew. Trees only grow along
     a path, so a cleared F stays cleared.
     """
-    t0 = time.monotonic()
-    ticker = _Ticker(budget, t0)
+    ticker = _Ticker(budget)
     n = g.n
     found, exact = None, True
     if not has_triangle(g):
@@ -562,9 +564,5 @@ def find_forest_2independent_partition(g: Graph, budget: Budget | None = None
             found = _search_colors(colors, mask, 2, order, ticker, assign, used=2)
         except _BudgetExhausted:
             exact = False
-    a = f = None
-    if found is not None:
-        a = frozenset(v for v in range(n) if found[v] == 0)
-        f = frozenset(range(n)) - a
-    return PartitionSearchResult(found is not None, a, f, exact, ticker.nodes,
-                                 time.monotonic() - t0)
+    a = None if found is None else frozenset(v for v in range(n) if found[v] == 0)
+    return PartitionSearchResult(a, exact, ticker.nodes, n)

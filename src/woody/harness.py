@@ -39,8 +39,7 @@ from .verify import replay_coloring_number
 # patches it under this module's name, so the name stays bound.
 from .verify import is_strongly_woody  # noqa: F401
 
-DEFAULT_BUDGET_NODES = 10_000_000
-DEFAULT_BUDGET_SECONDS = 10.0
+DEFAULT_BUDGET_NODES = 2_000_000
 
 CONJECTURES = ("planar4", "twoarb", "col", "girth-eq")
 BOUNDED_CONJECTURES = ("planar4", "twoarb", "col")
@@ -56,7 +55,7 @@ MAX_CHUNK = 32
 @dataclass(frozen=True)
 class HuntConfig:
     conjectures: tuple[str, ...] = ("twoarb", "col", "girth-eq")
-    budget: Budget = Budget(DEFAULT_BUDGET_NODES, DEFAULT_BUDGET_SECONDS)
+    budget: Budget = Budget(DEFAULT_BUDGET_NODES)
     strict: bool = False
     timings: bool = False
     with_chi: bool = False
@@ -121,6 +120,8 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
     timing: dict[str, float] = {}
 
     def staged(name, fn):
+        if not config.timings:
+            return fn()
         t = time.monotonic()
         out = fn()
         timing[name] = round((time.monotonic() - t) * 1000.0, 3)
@@ -198,8 +199,9 @@ def reverify_violation(record: dict, budget: Budget = HuntConfig.budget) -> bool
 
     The upper-bound certificates (forest decomposition, vertex ordering)
     are replayed, and the strong arboricity lower bound is re-established
-    by an independent solver run. A malformed record (a graph6 that does
-    not parse, a witness field missing or of the wrong form) is False.
+    by a second run of the same solver under the node ceiling of budget,
+    never its deadline. A malformed record (a graph6 that does not parse,
+    a witness field missing or of the wrong form) is False.
     """
     witness = record.get("witness")
     if not witness:
@@ -215,7 +217,7 @@ def reverify_violation(record: dict, budget: Budget = HuntConfig.budget) -> bool
         worst = max(conjecture_bound(name, replayed) for name in witness["conjectures"])
     except (KeyError, TypeError, ValueError):  # GraphFormatError is a ValueError
         return False
-    res = strong_arboricity_exact(g, budget)
+    res = strong_arboricity_exact(g, Budget(budget.max_nodes))
     return res.lower > worst
 
 

@@ -17,7 +17,8 @@ from woody.graphs import (
     path_graph,
     star_graph,
 )
-from woody.harness import iter_corpus
+from woody.exact import Budget
+from woody.harness import DEFAULT_BUDGET_NODES, HuntConfig, iter_corpus
 from woody.verify import EdgeColoring, is_strongly_woody
 
 from conftest import DATA, complete_bipartite, grid_graph
@@ -280,6 +281,25 @@ class TestExactCommand:
         assert code == 4
         assert "inexact" in capsys.readouterr().out
 
+    def test_every_command_builds_one_node_only_default_budget(self, tmp_path, monkeypatch):
+        # without --budget-secs no command hands a solver a deadline
+        built = []
+        real = woody.cli._budget_from_args
+
+        def spy(args):
+            built.append(real(args))
+            return built[-1]
+
+        monkeypatch.setattr(woody.cli, "_budget_from_args", spy)
+        gp = write_graph(tmp_path, cycle_graph(5))
+        out = str(tmp_path / "out")
+        assert main(["exact", gp, "--param", "strong-arb", "-o", out]) == 0
+        assert main(["color", gp, "--method", "acyclic", "-o", out]) == 0
+        assert main(["hunt", gp, "--report", out, "--summary", out + ".csv",
+                     "--quarantine", out + ".q"]) == 0
+        assert built == [HuntConfig().budget] * 3
+        assert built[0] == Budget(DEFAULT_BUDGET_NODES)
+
     def test_exhausted_bounds_that_meet_exit_0(self, tmp_path, capsys):
         # K1,3 as an edge list: one node runs out, but the square pipeline's
         # one color meets the lower bound 1
@@ -288,7 +308,7 @@ class TestExactCommand:
         cert = tmp_path / "cert"
         assert main(["exact", str(gp), "--param", "strong-arb", "--budget-nodes", "1",
                      "-o", str(cert)]) == 0
-        assert capsys.readouterr().out.startswith("strong-arb = 1 (nodes 2,")
+        assert capsys.readouterr().out.startswith("strong-arb = 1 (nodes 1,")
         assert cert.read_text().split() == ["0", "0", "0"]
 
     @pytest.mark.parametrize("flag,value,message", [

@@ -603,12 +603,18 @@ class TestForestDecompositionType:
         assert not ForestDecomposition(g, (0, 0, 0), 1).is_valid()
         assert ForestDecomposition(g, (0, 0, 1), 2).is_valid()
 
+    def test_a_short_assignment_is_refused_by_its_coloring(self):
+        # the EdgeColoring that is_valid builds is the one shape check
+        g = cycle_graph(3)
+        with pytest.raises(ValueError, match="expected 3 entries, got 2"):
+            ForestDecomposition(g, (0, 1), 2).is_valid()
+
     def test_validity_matches_a_union_find_per_class(self, connected_n6):
         # is_valid is the woody check of the assignment read as an edge
         # coloring; the reference joins each class in a union-find of its
         # own, so the two share no code past UnionFind
         def reference(g, assignment, k):
-            if len(assignment) != g.m or any(not 0 <= f < k for f in assignment):
+            if any(not 0 <= f < k for f in assignment):
                 return False
             for f in range(k):
                 uf = UnionFind(g.n)
@@ -629,6 +635,10 @@ class TestForestDecompositionType:
                     bad[rng.randrange(g.m)] = rng.choice((-1, k))
                     cases.append(bad)
                 for case in cases:
+                    if len(case) != g.m:  # refused by the EdgeColoring shape check
+                        with pytest.raises(ValueError):
+                            ForestDecomposition(g, tuple(case), k).is_valid()
+                        continue
                     want = reference(g, case, k)
                     assert ForestDecomposition(g, tuple(case), k).is_valid() == want
                     verdicts[want] += 1

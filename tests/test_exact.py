@@ -65,6 +65,23 @@ class TestBudget:
         assert Budget(1, 1e-9).max_nodes == 1
         assert Budget(max_seconds=float("inf")).max_seconds == float("inf")
 
+    @pytest.mark.parametrize("solve", [
+        strong_arboricity_exact, acyclic_chromatic_exact, chromatic_exact,
+        chromatic_index_exact, find_forest_2independent_partition,
+    ], ids=["zeta", "chi_a", "chi", "chi_index", "partition"])
+    def test_a_node_budget_stops_at_its_ceiling(self, solve):
+        # the Petersen graph takes at least 14 nodes in each search; the
+        # node that would pass the ceiling is never counted, and a ceiling
+        # of exactly the nodes needed does not run out
+        g = petersen_graph()
+        full = solve(g).nodes
+        assert full > 13
+        for ceiling in (1, 13):
+            res = solve(g, Budget(max_nodes=ceiling))
+            assert res.nodes == ceiling
+        res = solve(g, Budget(max_nodes=full))
+        assert res.exact and res.nodes == full
+
 
 class TestStrongArboricity:
     def test_examples(self):
@@ -350,7 +367,7 @@ class TestLowerBounds:
         graphs = [g for name in [f"connected_n{i}.g6" for i in range(1, 8)]
                   + ["planar_connected_n8.g6", "triangle_free_planar_upto12.g6"]
                   for g in corpus_graphs(name)]
-        ticker = woody.exact._Ticker(None, 0.0)
+        ticker = woody.exact._Ticker(None)
         for g in graphs:
             zeta = strong_arboricity_lower_bound(g)
             if zeta > 1:

@@ -150,6 +150,7 @@ class TestReplayAndReverify:
         ("col_order", [0, 1, 2, 3, 3]),  # not a permutation
         ("col_order", ["a"] * 5),
         ("conjectures", ["planar5"]),
+        ("arb_assignment", [0] * 9),  # one entry short
     ])
     def test_reverify_rejects_a_malformed_record(self, field, value):
         record = self.k5_record()
@@ -383,8 +384,56 @@ class TestRunHunt:
         config = HuntConfig(conjectures=("twoarb",), budget=Budget(12_345_678, 42.0))
         outcome = run_hunt([str(f)], config, jobs=1)
         assert outcome.exit_code == 10
-        # one solve in hunt_graph, one in the re-verification
-        assert budgets == [Budget(12_345_678, 42.0)] * 2
+        # one solve in hunt_graph, one in the re-verification, which keeps
+        # the node ceiling and drops the deadline
+        assert budgets == [Budget(12_345_678, 42.0), Budget(12_345_678)]
+        assert budgets[1].max_seconds is None
+
+    def test_the_default_budget_has_no_deadline(self):
+        import woody.harness as H
+
+        assert HuntConfig().budget == Budget(H.DEFAULT_BUDGET_NODES)
+        assert HuntConfig().budget.max_seconds is None
+        assert not hasattr(H, "DEFAULT_BUDGET_SECONDS")
+
+    def test_a_hunt_that_exhausts_its_node_budget_reads_no_clock(self, tmp_path, monkeypatch):
+        # G(16, 0.4) with seed 2 needs 66,375 ζ nodes; a clock that jumps a
+        # million seconds at each read would cut any deadline short, and
+        # under a node budget it is never read, so the bytes stay the same
+        import woody.exact
+        import woody.harness as H
+
+        class JumpingClock:
+            reads = 0
+
+            @classmethod
+            def monotonic(cls):
+                cls.reads += 1
+                return cls.reads * 1e6
+
+        corpus = tmp_path / "one.g6"
+        corpus.write_text("ODkiIbEGyGGI_MA|pHy?r\n")
+
+        def hunt(budget):
+            config = HuntConfig(conjectures=H.CONJECTURES, budget=budget, with_chi=True)
+            outcome = run_hunt([str(corpus)], config, jobs=1)
+            report, summary = io.StringIO(), io.StringIO()
+            write_jsonl(outcome.records, report)
+            write_summary_csv(outcome.summary, summary)
+            return report.getvalue(), summary.getvalue()
+
+        budget = Budget(max_nodes=20_000)
+        plain = hunt(budget)
+        assert '"budget_exhausted":true' in plain[0] and '"zeta":[4,27]' in plain[0]
+        for module in (woody.exact, H):
+            monkeypatch.setattr(module, "time", JumpingClock)
+        assert hunt(budget) == plain
+        assert JumpingClock.reads == 0
+        # the stub does stand in for the clock: a deadline reads it, and the
+        # first poll, at node 256, finds it passed
+        g = parse_graph6("ODkiIbEGyGGI_MA|pHy?r")
+        assert woody.exact.strong_arboricity_exact(g, Budget(20_000, 5.0)).nodes == 255
+        assert JumpingClock.reads == 2
 
     def test_violation_halts_at_the_same_record_for_every_jobs_value(self, monkeypatch):
         # workers inherit the patched bound only when forked

@@ -88,6 +88,35 @@ def test_checkers_import_no_producer(name):
     assert imported <= {"errors", "graphs"}, imported
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The modules a package source file imports by absolute name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+    return out
+
+
+def test_only_the_deadline_and_the_timers_import_time():
+    # a default solve, a default hunt and every re-verification read no
+    # clock: exact polls an explicit --budget-secs deadline, harness times
+    # stages under --timings, and cli times the solve `woody exact` prints
+    importers = {path.name for path in MODULES if "time" in imported_modules(path)}
+    assert importers == {"cli.py", "exact.py", "harness.py"}
+
+
+def test_in_exact_only_the_ticker_reads_the_clock():
+    tree = ast.parse((Path(woody.__file__).parent / "exact.py").read_text(encoding="utf-8"))
+    readers = {top.name for top in tree.body
+               if isinstance(top, (ast.ClassDef, ast.FunctionDef))
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "time"}
+    assert readers == {"_Ticker"}
+
+
 def test_certificate_checks_live_in_verify():
     import woody.decompose
     import woody.harness
