@@ -19,7 +19,6 @@ import time
 
 from .construct import (
     _square_coloring,
-    derived_coloring,
     partition_coloring,
     shaded_product,
     triangle_free_planar_coloring,
@@ -29,6 +28,7 @@ from .errors import GraphFormatError, GuardError, PreconditionError, WorkerCrash
 from .exact import (
     Budget,
     acyclic_chromatic_exact,
+    acyclic_quotient,
     chromatic_exact,
     chromatic_index_exact,
     find_forest_2independent_partition,
@@ -129,8 +129,10 @@ def _color_acyclic(g: Graph, budget: Budget):
     if not res.exact:
         raise PreconditionError(
             f"acyclic chromatic solve inexact (bounds {res.lower}..{res.upper})")
-    coloring = verified(derived_coloring(g, res.certificate, res.value), is_strongly_woody)
-    return coloring, f"palette {_palette(coloring)} <= acyclic chromatic number {res.value}"
+    coloring = verified(acyclic_quotient(g, res.certificate, budget), is_strongly_woody)
+    # an edge coloring of the quotient H_f, so no smaller than χ′(H_f)
+    return coloring, (f"chi'(H_f) <= palette {_palette(coloring)} "
+                      f"<= acyclic chromatic number {res.value}")
 
 
 def _color_parity(g: Graph, budget: Budget):

@@ -1,6 +1,7 @@
 """Desk-scale exact solvers: strong arboricity, acyclic chromatic number,
 chromatic number, chromatic index, and the forest / 2-independent vertex
-partition search.
+partition search; and the quotient coloring of an acyclic vertex coloring,
+which bounds strong arboricity from above.
 
 The coloring solvers are iterative-deepening branch and bound with
 canonical-palette symmetry breaking (a new color index may be used only
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .construct import arboricity_square_coloring
+from .construct import arboricity_square_coloring, derived_coloring
 from .decompose import arboricity
 from .graphs import Graph, coloring_number, connected_components, has_cycle, has_triangle
 from .verify import (
@@ -98,8 +99,8 @@ class _Ticker:
 def _edge_order(g: Graph) -> list[int]:
     # constrained edges first: decreasing degree sum; the sort is stable, so
     # ties stay in edge index order
-    return sorted(range(g.m),
-                  key=lambda e: -(g.degree(g.edges[e][0]) + g.degree(g.edges[e][1])))
+    degree = list(map(len, g.adj))
+    return sorted(range(g.m), key=lambda e: -degree[g.edges[e][0]] - degree[g.edges[e][1]])
 
 
 def _vertex_order(g: Graph) -> list[int]:
@@ -108,28 +109,38 @@ def _vertex_order(g: Graph) -> list[int]:
 
 
 def _deepen(g: Graph, budget: Budget | None, coloring_type, lower, search,
-            check, exhausted=None) -> SolveResult:
+            check, exhausted=None, known=None) -> SolveResult:
     """Iterative deepening shared by the exact coloring solvers.
 
     k runs up from lower(), or from 0 when there is nothing to color (no
     edges, or no vertices), and search(k, ticker) returns at most k colors,
-    or None when k colors do not suffice. The first coloring found is
-    normalized and passed through verify.verified with check. If the
-    budget runs out at level k, the certificate is exhausted(), which has
-    passed its own verified gate, or else the all-distinct coloring through
-    check. k is the proven lower bound and the certificate's palette the
-    upper one; the one exit refuses a palette below k (AssertionError).
+    or None when k colors do not suffice. known, when given, is a coloring
+    that passes check: only the levels below its normalized palette are
+    searched, and it stands for the first coloring found once they are all
+    refuted. The first coloring found is normalized and passed through
+    verify.verified with check. If the budget runs out at level k, the
+    certificate is exhausted(), which has passed its own verified gate, or
+    else the all-distinct coloring through check; known, normalized and
+    through check, replaces it unless its palette is larger. k is the
+    proven lower bound and the certificate's palette the upper one; the one
+    exit refuses a palette below k (AssertionError).
     """
     ticker = _Ticker(budget)
     size = coloring_type.length_for(g)
     k = lower() if size else 0
+    known = known and known.normalized()
     try:
-        while (found := search(k, ticker)) is None:
+        while known is None or k < known.palette_size:
+            if (found := search(k, ticker)) is not None:
+                known = coloring_type(g, found).normalized()
+                break
             k += 1
-        certificate = verified(coloring_type(g, found).normalized(), check)
+        certificate = verified(known, check)
     except _BudgetExhausted:
         certificate = exhausted() if exhausted else verified(
             coloring_type(g, range(size)), check)
+        if known and known.palette_size <= certificate.palette_size:
+            certificate = verified(known, check)
     upper = certificate.palette_size
     if upper < k:
         raise AssertionError(f"verified palette {upper} is below the proven lower bound {k}")
@@ -364,21 +375,72 @@ def _search_proper(adj, k: int, order: list[int], ticker: _Ticker) -> list[int] 
 
 
 def strong_arboricity_exact(g: Graph, budget: Budget | None = None,
-                            arb: int | None = None,
-                            omega: int | None = None) -> SolveResult:
+                            arb: int | None = None, omega: int | None = None,
+                            known: EdgeColoring | None = None) -> SolveResult:
     """Minimum palette of a strongly woody coloring, with certificate.
 
     Iterative deepening from strong_arboricity_lower_bound(g, arb), the
     larger of arboricity and χ′(K_ω), as every color class is a matching
-    inside a clique; arb and omega are passed on to it. On budget
-    exhaustion the square pipeline's coloring, which that pipeline
-    verifies, is the reported upper bound.
+    inside a clique; arb and omega are passed on to it. known, a strongly
+    woody coloring of g (acyclic_quotient gives one), goes to _deepen, so
+    only the levels below its palette are searched. On budget exhaustion
+    the square pipeline's coloring, which that pipeline verifies, is the
+    reported upper bound, or known when its palette is no larger.
     """
-    order = _edge_order(g)
+    order = []
+
+    def search(k, ticker):
+        nonlocal order
+        order = order or _edge_order(g)  # built only once a level is searched
+        return _search_strongly_woody(g, k, order, ticker)
+
     return _deepen(
         g, budget, EdgeColoring, lambda: strong_arboricity_lower_bound(g, arb, omega),
-        lambda k, ticker: _search_strongly_woody(g, k, order, ticker),
-        is_strongly_woody, lambda: arboricity_square_coloring(g))
+        search, is_strongly_woody, lambda: arboricity_square_coloring(g), known)
+
+
+def _index_lower_bound(degrees, m: int, n: int) -> int:
+    # χ′ of a graph with at least one edge: the maximum degree, and the
+    # matching capacity ceil(m / floor(n/2)), as every color is a matching
+    return max(max(degrees), -(-m // (n // 2)))
+
+
+def acyclic_quotient(g: Graph, f: VertexColoring, budget: Budget | None = None
+                     ) -> EdgeColoring:
+    """The edge coloring uv -> L(f(u)f(v)) for an acyclic vertex coloring f
+    and a proper edge coloring L of its quotient H_f: the graph on f's
+    classes with ab an edge when an edge of g joins classes a and b. It is
+    strongly woody: two consecutive edges xy, yz of one color have
+    L(f(x)f(y)) = L(f(y)f(z)), so f(x) = f(z) as L is proper, and a
+    monochromatic path, with the edge that closes it or alone, would make a
+    two-colored cycle. So ζ ≤ χ′(H_f) ≤ χ′(K_|f|), which is |f| − 1 for
+    even |f|.
+
+    L comes from _search_proper on H_f's line graph at k = χ′'s counting
+    bound, then k + 1, ..., while k < |f|, on a ticker of its own under the
+    node ceiling of budget. When those levels are refuted or the ticker
+    runs out, L is the paper's a + b mod |f| (derived_coloring). f is not
+    checked here; callers own that guarantee.
+    """
+    p, fc = f.palette_size, f.colors
+    pair = [fc[u] * p + fc[v] if fc[u] < fc[v] else fc[v] * p + fc[u] for u, v in g.edges]
+    item = {x: i for i, x in enumerate(dict.fromkeys(pair))}  # H_f's edges
+    incident = [[] for _ in range(p)]
+    for x, i in item.items():
+        incident[x // p].append(i)
+        incident[x % p].append(i)
+    line = [[j for j in incident[x // p] + incident[x % p] if j != i] for x, i in item.items()]
+    found = None
+    if line:
+        ticker = _Ticker(budget and Budget(budget.max_nodes))
+        k = _index_lower_bound(map(len, incident), len(line), p)
+        try:
+            while k < p and (found := _search_proper(line, k, range(len(line)), ticker)) is None:
+                k += 1
+        except _BudgetExhausted:
+            pass
+    return (EdgeColoring(g, [found[item[x]] for x in pair]) if found
+            else derived_coloring(g, f, p))
 
 
 def _search_acyclic(g: Graph, k: int, order: list[int], ticker: _Ticker
@@ -483,8 +545,8 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
     """Exact chromatic index: the chromatic number of the line graph, by
     the proper coloring search over the edges (_search_proper).
 
-    Lower bound: maximum degree, sharpened by the matching capacity
-    ceil(m / floor(n/2)).
+    Lower bound: _index_lower_bound, the maximum degree sharpened by the
+    matching capacity ceil(m / floor(n/2)).
     """
     order = _edge_order(g)
     line = [[g.edge_id(x, w) for x in uv for w in g.adj[x] if w not in uv]
@@ -495,7 +557,7 @@ def chromatic_index_exact(g: Graph, budget: Budget | None = None) -> SolveResult
 
     return _deepen(
         g, budget, EdgeColoring,
-        lambda: max(max(map(g.degree, range(g.n))), -((-g.m) // (g.n // 2))),
+        lambda: _index_lower_bound(map(g.degree, range(g.n)), g.m, g.n),
         lambda k, ticker: _search_proper(line, k, order, ticker),
         check)
 

@@ -23,6 +23,7 @@ from .errors import GraphFormatError, WorkerCrashError
 from .exact import (
     Budget,
     acyclic_chromatic_exact,
+    acyclic_quotient,
     chromatic_exact,
     max_clique_size,
     strong_arboricity_exact,
@@ -138,8 +139,12 @@ def hunt_graph(task: tuple[str, int, str, HuntConfig]) -> dict:
         chi_res = staged("chi", lambda: chromatic_exact(g, config.budget, omega))
         chi = chi_res.value
     chia_res = staged("chi_a", lambda: acyclic_chromatic_exact(g, config.budget, omega))
+    # ζ searches only below the palette of the quotient of an exact χ_a
+    # certificate; an inexact one is all-distinct, and its quotient is g
     zeta_res = staged("zeta", lambda: strong_arboricity_exact(
-        g, config.budget, arb=arb_k, omega=omega))
+        g, config.budget, arb=arb_k, omega=omega,
+        known=acyclic_quotient(g, chia_res.certificate, config.budget)
+        if chia_res.exact else None))
 
     record: dict = {
         "graph_id": graph_id,

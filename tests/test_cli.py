@@ -132,6 +132,15 @@ class TestColorCommand:
         assert is_strongly_woody(EdgeColoring(g, colors))[0]
         assert "palette" in capsys.readouterr().out
 
+    def test_acyclic_colors_the_quotient(self, tmp_path, capsys):
+        # K4: χ_a = 4, and a proper 3-edge-coloring of its quotient K4 gives
+        # 3 colors where a + b mod 4 gives 4
+        gp = write_graph(tmp_path, complete_graph(4))
+        out = tmp_path / "o"
+        assert main(["color", gp, "--method", "acyclic", "-o", str(out)]) == 0
+        assert len(set(out.read_text().split())) == 3
+        assert "chi'(H_f) <= palette 3 <= acyclic chromatic number 4" in capsys.readouterr().out
+
     @pytest.mark.parametrize("graph", [path_graph(1200), cycle_graph(1200)],
                              ids=["P1200", "C1200"])
     def test_partition_deeper_than_the_recursion_limit(self, tmp_path, graph, capsys):

@@ -5,13 +5,14 @@ import pytest
 
 import woody.construct
 import woody.exact
-from woody.construct import partition_coloring
+from woody.construct import derived_coloring, partition_coloring
 from woody.decompose import arboricity
 from woody.errors import GuardError
 from woody.exact import (
     Budget,
     acyclic_chromatic_exact,
     acyclic_chromatic_lower_bound,
+    acyclic_quotient,
     chromatic_exact,
     chromatic_index_exact,
     find_forest_2independent_partition,
@@ -184,6 +185,35 @@ class TestStrongArboricity:
         assert zeta_oracle(complete_graph(4))[1] == 248
         assert zeta_oracle(cycle_graph(5))[1] == 14
         assert zeta_oracle(complete_bipartite(2, 3))[1] == 23
+
+    def test_search_tree_below_the_quotient_is_pinned(self):
+        # with the quotient of the χ_a certificate known, as the hunt passes
+        # it, only the levels below its palette are searched
+        for name, total in (("connected_n6.g6", 107), ("connected_n7.g6", 1_978)):
+            nodes = 0
+            for g in corpus_graphs(name):
+                known = acyclic_quotient(g, acyclic_chromatic_exact(g).certificate)
+                nodes += strong_arboricity_exact(g, known=known).nodes
+            assert nodes == total, name
+
+    def test_an_exhausted_solve_keeps_the_smaller_verified_palette(self):
+        # K6 under 3 nodes: the known 6 colors of a + b mod 6 beat the
+        # square pipeline's 13 and are verified on the way out
+        g = complete_graph(6)
+        known = derived_coloring(g, VertexColoring(g, range(6)), 6)
+        res = strong_arboricity_exact(g, Budget(max_nodes=3), known=known)
+        assert (res.lower, res.upper, res.exact, res.nodes) == (5, 6, False, 3)
+        assert res.certificate.colors == known.normalized().colors
+        # a known palette of 15 loses to the square pipeline's 13, and one
+        # of 13 (two disjoint pairs of edges merged) wins the tie
+        res = strong_arboricity_exact(g, Budget(max_nodes=3),
+                                      known=EdgeColoring(g, range(15)))
+        assert res.upper == 13
+        colors = list(range(15))
+        colors[g.edge_id(2, 3)], colors[g.edge_id(4, 5)] = colors[0], colors[1]
+        res = strong_arboricity_exact(g, Budget(max_nodes=3), known=EdgeColoring(g, colors))
+        assert res.upper == 13 and res.certificate.colors == EdgeColoring(
+            g, colors).normalized().colors
 
     def test_edgeless_and_exhausted_results_are_pinned(self):
         # (value, lower, upper, exact, certificate colors) of all four solvers;
@@ -587,6 +617,76 @@ class TestAcyclicChromatic:
             assert res.value == static_order_chi_a(g), g.edges
             assert is_acyclic_vertex(res.certificate)[0]
             assert res.certificate.palette_size == res.value
+
+
+class TestAcyclicQuotient:
+    # ζ ≤ χ′(H_f) for an acyclic coloring f and its quotient H_f, the graph
+    # on f's classes joined where an edge of g joins them
+
+    def quotient_index(self, g, f):
+        classes = f.palette_size
+        h = Graph(classes, {tuple(sorted((f.colors[u], f.colors[v]))) for u, v in g.edges})
+        return chromatic_index_exact(h).value if h.m else 0
+
+    def test_k4_solves_below_its_acyclic_chromatic_number_in_no_node(self):
+        g = complete_graph(4)
+        chia = acyclic_chromatic_exact(g)
+        res = strong_arboricity_exact(g, known=acyclic_quotient(g, chia.certificate))
+        assert (chia.value, res.value, res.nodes) == (4, 3, 0)
+        assert is_strongly_woody(res.certificate)[0]
+
+    def test_even_acyclic_chromatic_number_bounds_zeta_strictly(self):
+        even = 0
+        for g in corpus_graphs("connected_n7.g6"):
+            chia = acyclic_chromatic_exact(g)
+            quotient = acyclic_quotient(g, chia.certificate)
+            assert is_strongly_woody(quotient)[0]
+            # the palette is χ′(H_f), by the chromatic index solver
+            assert quotient.palette_size == self.quotient_index(g, chia.certificate)
+            if chia.value % 2 == 0:
+                even += 1
+                assert strong_arboricity_exact(g, known=quotient).value <= chia.value - 1
+        assert even == 442
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_odd_cliques_search_no_level(self, monkeypatch, n):
+        # H_f is K_n, whose counting bound ceil(m / floor(n/2)) is n = |f|,
+        # so no level lies below |f|, and a + b mod n is the coloring
+        def refuse(*args):
+            raise AssertionError("a level was searched")
+
+        monkeypatch.setattr(woody.exact, "_search_proper", refuse)
+        g = complete_graph(n)
+        f = VertexColoring(g, range(n))
+        quotient = acyclic_quotient(g, f, Budget(max_nodes=1))
+        assert quotient.colors == derived_coloring(g, f, n).colors
+        assert quotient.palette_size == n and is_strongly_woody(quotient)[0]
+
+    def test_even_cliques_get_one_color_fewer(self):
+        for n in (4, 6, 8, 10):
+            g = complete_graph(n)
+            quotient = acyclic_quotient(g, VertexColoring(g, range(n)))
+            assert quotient.palette_size == n - 1 and is_strongly_woody(quotient)[0]
+
+    def test_a_ticker_that_runs_out_falls_back_to_the_sum_mod_k(self, monkeypatch):
+        # K6 at 5 colors takes 15 nodes; under 3 the quotient is a + b mod 6.
+        # The search keeps the node ceiling only, so a deadline reads no clock
+        class NoClock:
+            def monotonic():
+                raise AssertionError("the clock was read")
+
+        monkeypatch.setattr(woody.exact, "time", NoClock)
+        g = complete_graph(6)
+        f = VertexColoring(g, range(6))
+        quotient = acyclic_quotient(g, f, Budget(max_nodes=3, max_seconds=5.0))
+        assert quotient.colors == derived_coloring(g, f, 6).colors
+        assert acyclic_quotient(g, f, Budget(15, 5.0)).palette_size == 5
+
+    def test_edgeless_graphs_get_the_empty_coloring(self):
+        for n in (0, 3):
+            g = Graph(n, [])
+            f = acyclic_chromatic_exact(g).certificate
+            assert acyclic_quotient(g, f).colors == ()
 
 
 class TestChromatic:

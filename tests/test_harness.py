@@ -372,11 +372,11 @@ class TestRunHunt:
         budgets = []
         real_solve = H.strong_arboricity_exact
 
-        def spy(g, budget=None, arb=None, omega=None):
+        def spy(g, budget=None, arb=None, omega=None, known=None):
             budgets.append(budget)
             # an impossible lower bound lets the forced violation re-verify
             return dataclasses.replace(
-                real_solve(g, budget, arb=arb, omega=omega), lower=99)
+                real_solve(g, budget, arb=arb, omega=omega, known=known), lower=99)
 
         monkeypatch.setattr(H, "strong_arboricity_exact", spy)
         f = tmp_path / "k4.g6"
@@ -389,6 +389,26 @@ class TestRunHunt:
         assert budgets == [Budget(12_345_678, 42.0), Budget(12_345_678)]
         assert budgets[1].max_seconds is None
 
+    def test_zeta_gets_the_quotient_of_an_exact_acyclic_certificate_only(self, monkeypatch):
+        # under 10 nodes χ_a stays inexact on G(16, 0.4), and its all-distinct
+        # certificate's quotient would be the graph itself; under 100 it is
+        # exact at 6, and ζ starts from the quotient's 5 colors
+        import woody.harness as H
+
+        quotients = []
+        real = H.acyclic_quotient
+
+        def spy(g, f, budget):
+            quotients.append(real(g, f, budget))
+            return quotients[-1]
+
+        monkeypatch.setattr(H, "acyclic_quotient", spy)
+        for nodes, calls in ((10, 0), (100, 1)):
+            config = HuntConfig(budget=Budget(max_nodes=nodes))
+            rec = hunt_graph(("g.g6", 1, "ODkiIbEGyGGI_MA|pHy?r", config))
+            assert (rec["chi_a"] is not None, len(quotients)) == (calls == 1, calls)
+        assert quotients[0].palette_size == 5 and rec["zeta"][1] == 5
+
     def test_the_default_budget_has_no_deadline(self):
         import woody.harness as H
 
@@ -399,7 +419,9 @@ class TestRunHunt:
     def test_a_hunt_that_exhausts_its_node_budget_reads_no_clock(self, tmp_path, monkeypatch):
         # G(16, 0.4) with seed 2 needs 66,375 ζ nodes; a clock that jumps a
         # million seconds at each read would cut any deadline short, and
-        # under a node budget it is never read, so the bytes stay the same
+        # under a node budget it is never read, so the bytes stay the same.
+        # χ_a is exact at 6, so ζ's upper bound is the 5 colors of its
+        # quotient, not the square pipeline's 27
         import woody.exact
         import woody.harness as H
 
@@ -424,7 +446,7 @@ class TestRunHunt:
 
         budget = Budget(max_nodes=20_000)
         plain = hunt(budget)
-        assert '"budget_exhausted":true' in plain[0] and '"zeta":[4,27]' in plain[0]
+        assert '"budget_exhausted":true' in plain[0] and '"zeta":[4,5]' in plain[0]
         for module in (woody.exact, H):
             monkeypatch.setattr(module, "time", JumpingClock)
         assert hunt(budget) == plain
@@ -489,7 +511,7 @@ class TestRunHunt:
         # the commit before it. A change that alters a certificate on
         # purpose re-pins both values, and its CHANGES.md entry says why.
         report, summary = (hashlib.sha256(b.encode()).hexdigest() for b in blobs[0])
-        assert report == "ea1a04224662e39f32e3241bed7b705a242377aefde9574d1d4415b25ef373e2"
+        assert report == "46431446f9d0fb35509a0971221902ae1352e2bc64c6691cb44b015a823a07e0"
         assert summary == "b41f07eb72caeebbc8de2b8368db8428c06e0be2402757073a89d15b705207d9"
 
     def test_worker_crash_names_the_first_graph_without_a_record(
